@@ -15,7 +15,6 @@ from .binning import IntervalPartition, binned_ece, ece, uniform_partition
 from .core import (
     EmpiricalDistribution,
     ReliabilityBin,
-    Sample,
     SeededRng,
     make_empirical,
     reliability_bins,
@@ -75,17 +74,15 @@ from .lowerdist import (
     ldce_dual_solution,
     ldce_primal_solution,
 )
-from .smooth import LinearProgramSolution, WeightVector, smce, smce_full_pairwise
-from .cli import CalibrationReport
+from .smooth import WeightVector, smce, smce_full_pairwise
 
 __all__ = [
     "__version__",
-    "CalibrationReport",
-    "EmpiricalDistribution", "ReliabilityBin", "Sample", "SeededRng",
+    "EmpiricalDistribution", "ReliabilityBin", "SeededRng",
     "make_empirical", "reliability_bins", "round_to_grid",
     "IntervalPartition", "binned_ece", "ece", "uniform_partition",
     "IntervalEstimatorConfig", "rintce_exact", "rintce_hat", "sintce_exact", "sintce_hat",
-    "LinearProgramSolution", "WeightVector", "smce", "smce_full_pairwise",
+    "WeightVector", "smce", "smce_full_pairwise",
     "CouplingSolution", "DualSolution", "Grid",
     "ldce", "ldce_both_forms", "ldce_dual_solution", "ldce_primal_solution",
     "KernelEstimatorConfig", "KernelKind",

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import BadBins, BadConfig, BadLabel, BadStep, EmptyInput, OutOfRange
 
 __all__ = [
-    "Sample",
     "EmpiricalDistribution",
     "SeededRng",
     "ReliabilityBin",
@@ -25,24 +24,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One prediction-label pair: v in [0, 1], y in {0, 1}."""
-
-    v: float
-    y: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.v <= 1.0):
-            raise OutOfRange(f"prediction {self.v!r} outside [0, 1]")
-        if self.y not in (0, 1):
-            raise BadLabel(f"label {self.y!r} not in {{0, 1}}")
-
-
 class EmpiricalDistribution:
     """Ordered multiset of (v, y) pairs, each carrying uniform weight 1/n.
 
-    Iteration order is insertion order.  The backing arrays are read-only;
+    Samples keep their insertion order.  The backing arrays are read-only;
     treat instances as values.
     """
 
@@ -55,8 +40,9 @@ class EmpiricalDistribution:
             raise BadConfig(f"v and y must be 1-d arrays of equal length, got {v.shape} and {y_f.shape}")
         if v.size == 0:
             raise EmptyInput("an empirical distribution needs at least one sample")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            bad = float(v[(v < 0.0) | (v > 1.0)][0])
+        inside = (v >= 0.0) & (v <= 1.0)  # False for NaN, so NaN is rejected too
+        if not inside.all():
+            bad = float(v[~inside][0])
             raise OutOfRange(f"prediction {bad!r} outside [0, 1]")
         if not np.all((y_f == 0.0) | (y_f == 1.0)):
             bad = float(y_f[(y_f != 0.0) & (y_f != 1.0)][0])
@@ -82,19 +68,12 @@ class EmpiricalDistribution:
     def n(self) -> int:
         return self._v.size
 
-    @property
-    def samples(self) -> list[Sample]:
-        return [Sample(float(v), int(y)) for v, y in zip(self._v, self._y)]
-
     def pairs(self) -> list[tuple[float, int]]:
         """The raw (v, y) list in insertion order; round-trips make_empirical."""
         return [(float(v), int(y)) for v, y in zip(self._v, self._y)]
 
     def __len__(self) -> int:
         return self.n
-
-    def __iter__(self):
-        return iter(self.samples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmpiricalDistribution):

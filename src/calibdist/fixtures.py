@@ -245,6 +245,29 @@ def _set_partitions(n: int):
     yield from rec(1, 0)
 
 
+def _min_partition_cost(mass: list[float], ymass: list[float], f: list[float]) -> float:
+    """Min over partitions of sum_i mass_i |f_i - (label mean of i's block)|.
+
+    ymass_i = mass_i * E[y | i]; each partial cost stops once it reaches the best.
+    """
+    best = math.inf
+    for labels in _set_partitions(len(mass)):
+        nb = max(labels) + 1
+        bm = [0.0] * nb
+        by = [0.0] * nb
+        for i, b in enumerate(labels):
+            bm[b] += mass[i]
+            by[b] += ymass[i]
+        cost = 0.0
+        for i, b in enumerate(labels):
+            cost += mass[i] * abs(f[i] - by[b] / bm[b])
+            if cost >= best:
+                break
+        if cost < best:
+            best = cost
+    return best
+
+
 def dce_bruteforce(prob: FiniteProblem) -> float:
     """True distance to calibration by exhaustive partition search.
 
@@ -257,23 +280,7 @@ def dce_bruteforce(prob: FiniteProblem) -> float:
         raise TooLarge(f"brute force capped at {_PARTITION_CAP} points, got {k}")
     masses = [p[0] for p in prob.points]
     ymass = [p[0] * p[1] for p in prob.points]
-    f = [p[2] for p in prob.points]
-    best = math.inf
-    for labels in _set_partitions(k):
-        nb = max(labels) + 1
-        bm = [0.0] * nb
-        by = [0.0] * nb
-        for i, b in enumerate(labels):
-            bm[b] += masses[i]
-            by[b] += ymass[i]
-        cost = 0.0
-        for i, b in enumerate(labels):
-            cost += masses[i] * abs(f[i] - by[b] / bm[b])
-            if cost >= best:
-                break
-        if cost < best:
-            best = cost
-    return best
+    return _min_partition_cost(masses, ymass, [p[2] for p in prob.points])
 
 
 def udce_bruteforce(dist: EmpiricalDistribution) -> float:
@@ -290,23 +297,7 @@ def udce_bruteforce(dist: EmpiricalDistribution) -> float:
     counts = np.bincount(inverse, minlength=k)
     p = (counts / dist.n).tolist()
     ymass = (np.bincount(inverse, weights=dist.y.astype(float), minlength=k) / dist.n).tolist()
-    vals = values.tolist()
-    best = math.inf
-    for labels in _set_partitions(k):
-        nb = max(labels) + 1
-        bm = [0.0] * nb
-        by = [0.0] * nb
-        for i, b in enumerate(labels):
-            bm[b] += p[i]
-            by[b] += ymass[i]
-        cost = 0.0
-        for i, b in enumerate(labels):
-            cost += p[i] * abs(vals[i] - by[b] / bm[b])
-            if cost >= best:
-                break
-        if cost < best:
-            best = cost
-    return best
+    return _min_partition_cost(p, ymass, values.tolist())
 
 
 def induce_gamma(prob: FiniteProblem, n: int, rng: SeededRng) -> EmpiricalDistribution:

@@ -29,7 +29,8 @@ __all__ = [
 
 # Constants of the shift-count rule m = ceil(C / eps^2 * ln(k* / delta)).
 # The theory only fixes them up to an absolute constant; these values leave
-# comfortable margin in the acceptance suite and are overridable per config.
+# comfortable margin in the acceptance suite.  They are module constants: a
+# config can replace the rule's result through shifts_m, not the constants.
 SHIFT_RULE_C = 8.0
 SHIFT_RULE_DELTA = 0.05
 

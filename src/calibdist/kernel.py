@@ -45,7 +45,6 @@ __all__ = [
     "kernel_identity_check",
 ]
 
-DEFAULT_QUADRATIC_CAP = 20_000
 _GAUSS_SERIES_TERMS = 48
 _REP_BATCH = 4096  # fixed batching keeps results bit-identical across machines
 
@@ -116,13 +115,14 @@ def _kce2_gaussian(v: np.ndarray, r: np.ndarray) -> float:
 
 
 def kce_exact(dist: EmpiricalDistribution, kind: KernelKind,
-              max_n: int = DEFAULT_QUADRATIC_CAP) -> float:
+              max_n: int | None = None) -> float:
     """Exact kernel calibration error sqrt(mean_{i,j} r_i r_j K(v_i, v_j)).
 
-    The quadratic form is positive semidefinite; tiny negative round-off
-    (>= -1e-12) is clamped to zero before the square root.
+    O(n log n) for both kernels; ``max_n`` is an optional caller-chosen size
+    limit (None: no limit).  The quadratic form is positive semidefinite; tiny
+    negative round-off (>= -1e-12) is clamped to zero before the square root.
     """
-    if dist.n > max_n:
+    if max_n is not None and dist.n > max_n:
         raise TooLarge(f"kce_exact capped at n = {max_n}, got {dist.n}")
     kind = KernelKind(kind)
     v, r = _canonical(dist)
@@ -177,7 +177,7 @@ def kce_estimate_squared(dist: EmpiricalDistribution, kind: KernelKind,
     if cfg.mode in ("fourier", "binning") and kind is not KernelKind.LAPLACE:
         raise ModeKindMismatch(f"{cfg.mode} estimation is specific to the Laplace kernel")
     if cfg.mode == "exact":
-        return kce_exact(dist, kind, max_n=max(dist.n, DEFAULT_QUADRATIC_CAP)) ** 2
+        return kce_exact(dist, kind) ** 2
     rng = cfg.rng if cfg.rng is not None else SeededRng(0)
     v, r = _canonical(dist)
     n = dist.n

@@ -131,10 +131,9 @@ def ldce_primal_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
         shape=(q + m, m * q),
     )
     b_eq = np.concatenate([gamma, np.zeros(m)])
-    sol = _run_lp(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None))
-    mass = np.array(sol.primal).reshape(m, q)
+    objective, x = _run_lp(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None))
     return CouplingSolution(u=u, support_v=sv, support_y=sy, gamma=gamma,
-                            mass=mass, objective=max(sol.objective, 0.0))
+                            mass=x.reshape(m, q), objective=max(objective, 0.0))
 
 
 def ldce_dual_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
@@ -158,10 +157,9 @@ def ldce_dual_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
     ]
     A_ub = sp.vstack(blocks, format="csr")
     b_ub = np.concatenate([chain_b, chain_b, np.zeros(2 * m)])
-    sol = _run_lp(-c, A_ub=A_ub, b_ub=b_ub, bounds=(-1.0, 1.0))
-    x = np.array(sol.primal)
+    objective, x = _run_lp(-c, A_ub=A_ub, b_ub=b_ub, bounds=(-1.0, 1.0))
     return DualSolution(u=u, r0=x[:m], r1=x[m:2 * m], s=x[2 * m:],
-                        objective=max(-sol.objective, 0.0))
+                        objective=max(-objective, 0.0))
 
 
 def ldce(dist: EmpiricalDistribution, eps1: float = 0.005, eps2: float = 0.005,

@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 from .core import EmpiricalDistribution
 from .errors import SolverFailure, TooLarge
 
-__all__ = ["WeightVector", "LinearProgramSolution", "smce", "smce_full_pairwise"]
+__all__ = ["WeightVector", "smce", "smce_full_pairwise"]
 
 _FULL_PAIRWISE_CAP = 500
 _SOLVER_OPTIONS = {
@@ -50,31 +50,17 @@ class WeightVector:
                 raise ValueError("weights must be 1-Lipschitz across adjacent values")
 
 
-@dataclass(frozen=True)
-class LinearProgramSolution:
-    """Raw solver outcome shared by the smooth and lower-distance programs."""
-
-    objective: float
-    primal: tuple[float, ...]
-    status: str  # optimal | infeasible | numerical-failure
-    dual: tuple[float, ...] | None = None
-
-
 _STATUS = {0: "optimal", 2: "infeasible"}
 
 
-def _run_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> LinearProgramSolution:
+def _run_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> tuple[float, np.ndarray]:
+    """(objective, x) at the optimum; shared by the smooth and lower-distance programs."""
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                   method="highs", options=_SOLVER_OPTIONS)
     status = _STATUS.get(res.status, "numerical-failure")
     if status != "optimal":
         raise SolverFailure(status, f"LP terminated with status {status}: {res.message}")
-    dual = None
-    if res.get("ineqlin") is not None:
-        dual = tuple(np.atleast_1d(res.ineqlin.marginals).astype(float))
-    return LinearProgramSolution(
-        objective=float(res.fun), primal=tuple(res.x.astype(float)), status=status, dual=dual
-    )
+    return float(res.fun), res.x
 
 
 def _merged_coefficients(dist: EmpiricalDistribution):
@@ -131,9 +117,8 @@ def smce(dist: EmpiricalDistribution) -> tuple[float, WeightVector]:
         z = 1.0 if coef[0] >= 0 else -1.0
         return abs(float(coef[0])), WeightVector(values=(float(values[0]),), z=(z,))
     A, b = _lipschitz_chain(values)
-    sol = _run_lp(-coef, A_ub=A, b_ub=b, bounds=(-1.0, 1.0))
-    value = max(-sol.objective, 0.0)
-    return value, _clean_witness(values, np.array(sol.primal))
+    objective, z = _run_lp(-coef, A_ub=A, b_ub=b, bounds=(-1.0, 1.0))
+    return max(-objective, 0.0), _clean_witness(values, z)
 
 
 def smce_full_pairwise(dist: EmpiricalDistribution) -> float:
@@ -161,5 +146,5 @@ def smce_full_pairwise(dist: EmpiricalDistribution) -> float:
     if r == 0:
         return abs(float(coef.sum()))
     A = sp.csr_matrix((data, (rows, cols)), shape=(r, n))
-    sol = _run_lp(-coef, A_ub=A, b_ub=np.array(b), bounds=(-1.0, 1.0))
-    return max(-sol.objective, 0.0)
+    objective, _ = _run_lp(-coef, A_ub=A, b_ub=np.array(b), bounds=(-1.0, 1.0))
+    return max(-objective, 0.0)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import calibdist
 from calibdist import SolverFailure
 from calibdist.cli import main
 
@@ -41,6 +46,43 @@ def test_measure_deterministic(tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_measure_metric_streams_keyed_by_name(tmp_path):
+    # each metric draws from the substream of its METRIC_NAMES position, so its
+    # entry does not depend on which other metrics were requested
+    src = tmp_path / "d.csv"
+    rng = np.random.default_rng(8)
+    _write_csv(src, [(round(float(v), 3), int(y))
+                     for v, y in zip(rng.random(80), rng.integers(0, 2, 80))])
+
+    def measure(metrics):
+        out = tmp_path / "r.json"
+        assert main(["measure", "--input", str(src), "--metrics", metrics,
+                     "--kce-mode", "subsample", "--eps", "0.1", "--seed", "11",
+                     "--output", str(out)]) == 0
+        return json.loads(out.read_text())["metrics"]
+
+    together = measure("all")
+    assert len(together) == 8
+    for name, entry in together.items():
+        assert measure(name) == {name: entry}
+
+
+def test_import_leaves_cli_unloaded_and_module_run_warns_nothing(tmp_path):
+    src = str(Path(calibdist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, calibdist; print('calibdist.cli' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert probe.stdout.strip() == "False"
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "calibdist.cli",
+         "measure", "--input", str(tmp_path / "missing.csv")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert run.returncode == 2
+    assert run.stderr.startswith("calib: parse error:")
 
 
 def test_measure_all_on_calibrated_endpoints(tmp_path):

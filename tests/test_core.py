@@ -6,6 +6,7 @@ from calibdist import (
     BadLabel,
     BadStep,
     EmptyInput,
+    EmpiricalDistribution,
     OutOfRange,
     SeededRng,
     make_empirical,
@@ -23,6 +24,14 @@ def test_make_empirical_minimal():
 def test_make_empirical_out_of_range():
     with pytest.raises(OutOfRange):
         make_empirical([(0.2, 0), (1.2, 1)])
+
+
+def test_nan_prediction_rejected():
+    # every comparison with NaN is false, so a plain range test lets it through
+    with pytest.raises(OutOfRange):
+        make_empirical([(0.2, 0), (float("nan"), 1)])
+    with pytest.raises(OutOfRange):
+        EmpiricalDistribution(np.array([np.nan, 0.4]), np.array([0, 1]))
 
 
 def test_make_empirical_bad_label():

@@ -5,6 +5,7 @@ import pytest
 
 from calibdist import (
     BadConfig,
+    EmpiricalDistribution,
     KernelEstimatorConfig,
     KernelKind,
     ModeKindMismatch,
@@ -44,6 +45,17 @@ def test_kce_exact_cap():
     d = make_empirical([(0.5, 1)] * 10)
     with pytest.raises(TooLarge):
         kce_exact(d, KernelKind.LAPLACE, max_n=5)
+
+
+def test_kce_exact_uncapped_by_default():
+    # both exact paths are O(n log n), so the default size is unlimited
+    rng = np.random.default_rng(53)
+    n = 20_001
+    v = rng.random(n)
+    d = EmpiricalDistribution(v, (rng.random(n) < v).astype(np.int8))
+    for kind in KernelKind:
+        squared = kce_estimate_squared(d, kind, KernelEstimatorConfig())
+        assert kce_exact(d, kind) == math.sqrt(squared)
 
 
 def test_kce_exact_permutation_invariant_bitwise():
