@@ -2,11 +2,12 @@
 
 Measures operate on an :class:`~calibdist.core.EmpiricalDistribution` of
 (prediction, label) samples: expected calibration error and binned variants,
-the surrogate interval calibration error, smooth calibration via linear
-programming, the lower distance to calibration via primal/dual transport LPs,
-and Laplace/Gaussian kernel calibration error with exact and randomized
-estimators.  ``calibdist.fixtures`` carries the adversarial constructions and
-brute-force oracles used to certify the inequalities between the measures.
+the surrogate interval calibration error, smooth calibration by an exact
+O(d log d) dynamic program, the lower distance to calibration via
+primal/dual transport LPs, and Laplace/Gaussian kernel calibration error
+with exact and randomized estimators.  ``calibdist.fixtures`` carries the
+adversarial constructions and brute-force oracles used to certify the
+inequalities between the measures.
 """
 
 __version__ = "0.1.0"

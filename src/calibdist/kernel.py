@@ -47,6 +47,7 @@ __all__ = [
 
 _GAUSS_SERIES_TERMS = 48
 _REP_BATCH = 4096  # fixed batching keeps results bit-identical across machines
+_CHUNK_CELLS = 1 << 20  # rows * n per block of binning arithmetic
 
 
 class KernelKind(str, Enum):
@@ -131,6 +132,8 @@ def kce_exact(dist: EmpiricalDistribution, kind: KernelKind,
 
 
 def _fourier_draws(v, r, reps, rng: SeededRng) -> np.ndarray:
+    # Not chunked like binning: a one-row block's matrix-vector product sums
+    # in another order than the full batch's, which changes the low bits.
     n = len(v)
     out = np.empty(reps)
     for start in range(0, reps, _REP_BATCH):
@@ -155,14 +158,20 @@ def _binning_draws(v, r, reps, rng: SeededRng) -> np.ndarray:
         u2 = 1.0 - rng.random(b)
         delta = np.maximum(-np.log(u1) - np.log(u2), 1e-12)
         tau = delta * rng.random(b)
-        t = np.floor((v[None, :] + tau[:, None]) / delta[:, None]).astype(np.int64)
-        t -= t.min(axis=1, keepdims=True)
-        span = int(t.max()) + 1
-        keys = (np.arange(b, dtype=np.int64)[:, None] * span + t).ravel()
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights=np.tile(r, b), minlength=len(uniq))
-        per_rep = np.bincount(uniq // span, weights=sums * sums, minlength=b)
-        out[start:stop] = per_rep / n**2
+        # Rows of at most _CHUNK_CELLS cells: repetitions are independent and
+        # each one's bin sums accumulate in sample order in any chunk, so the
+        # chunk size leaves the bits alone.
+        rows = max(1, _CHUNK_CELLS // n)
+        for lo in range(0, b, rows):
+            hi = min(lo + rows, b)
+            t = np.floor((v[None, :] + tau[lo:hi, None]) / delta[lo:hi, None]).astype(np.int64)
+            t -= t.min(axis=1, keepdims=True)
+            span = int(t.max()) + 1
+            keys = (np.arange(hi - lo, dtype=np.int64)[:, None] * span + t).ravel()
+            uniq, inverse = np.unique(keys, return_inverse=True)
+            sums = np.bincount(inverse, weights=np.tile(r, hi - lo), minlength=len(uniq))
+            per_rep = np.bincount(uniq // span, weights=sums * sums, minlength=hi - lo)
+            out[start + lo:start + hi] = per_rep / n**2
     return out
 
 

@@ -1,14 +1,21 @@
 """Smooth calibration error: maximization over bounded 1-Lipschitz weights.
 
-On an empirical distribution the supremum is a finite LP.  Equal predictions
-share a weight, so duplicates are merged into one variable with the summed
-coefficient, and on sorted distinct values the Lipschitz constraints between
-adjacent points imply all pairwise ones by telescoping.  The full pairwise
-program is kept as a test oracle for exactly that reduction.
+On an empirical distribution the supremum is a finite program.  Equal
+predictions share a weight, so duplicates are merged into one variable with
+the summed coefficient, and on sorted distinct values the Lipschitz
+constraints between adjacent points imply all pairwise ones by telescoping.
+The remaining path-structured program is solved exactly in O(d log d) by a
+dynamic program over the convex conjugate of its value function (Hu,
+Jambulapati, Tian and Yang, "Testing Calibration in Nearly-Linear Time");
+the reported value is the objective of the witness it returns.  The full
+pairwise program is kept as a test oracle for the reduction, and the HiGHS
+helpers here serve it and the lower-distance programs.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,17 +98,95 @@ def _lipschitz_chain(values: np.ndarray):
     return A, b
 
 
-def _clean_witness(values: np.ndarray, z: np.ndarray) -> WeightVector:
-    # Repair solver-tolerance violations so the invariants hold exactly,
-    # including rounding of z[i-1] +- gap itself (hence the ulp walk).
-    z = np.clip(z, -1.0, 1.0)
+def _clean_witness(values: list[float], z: list[float]) -> WeightVector:
+    # Repair rounding so the invariants hold exactly, including rounding of
+    # z[i-1] +- gap itself (hence the ulp walk).
+    z = [min(max(zi, -1.0), 1.0) for zi in z]
     for i in range(1, len(z)):
         gap = values[i] - values[i - 1]
         zi = min(max(z[i], z[i - 1] - gap), z[i - 1] + gap)
         while abs(zi - z[i - 1]) > gap:
-            zi = np.nextafter(zi, z[i - 1])
+            zi = math.nextafter(zi, z[i - 1])
         z[i] = zi
     return WeightVector(values=tuple(values), z=tuple(z))
+
+
+def _chain_dp(values: np.ndarray, coef: np.ndarray):
+    """Primal peaks p_j and live ends (lo_j, hi_j) of the conjugate chain DP.
+
+    With S_j = c_1 + ... + c_j and gaps g_j, the dual of the chain program is
+    min sum_j |A_j - A_{j-1}| + sum_{j<d} g_j |A_j - S_j| over paths with
+    A_0 = 0 and A_d = S_d.  Its value function F_j(A) (paths ending at A_j =
+    A) is convex and piecewise linear with slopes in [-1, 1] and breakpoints
+    only at {0, S_1, ..., S_{d-1}}.  A breakpoint's weight is its slope
+    change, so the weights sum to 2 and F_j's left derivative at A is (weight
+    strictly left of A) - 1.  That derivative at S_j is the peak p_j, the
+    maximizer of the primal value function of the first j values.  Passing to
+    F_{j+1} adds g_j |A - S_j| (weight 2 g_j at S_j) and clamps the slopes
+    back to [-1, 1], which trims weight g_j from each end.  Weights live in a
+    Fenwick tree over the positions' ranks; the ends are a min-heap and a
+    max-heap of live ranks with lazy deletion.  Each breakpoint is consumed
+    at most once, so the pass is O(d log d).  F_j's outermost breakpoints
+    (lo_j, hi_j) give the dual path back from A_d: A_{j-1} = clip(A_j, lo_j,
+    hi_j).
+    """
+    d = len(values)
+    gaps = np.diff(values).tolist()
+    prefix = np.cumsum(coef)
+    positions = np.unique(np.concatenate(([0.0], prefix[:-1])))
+    insert_at = np.searchsorted(positions, prefix[:-1]).tolist()
+    left_of = np.searchsorted(positions, prefix).tolist()
+    pos = positions.tolist()
+    m = len(pos)
+    tree = [0.0] * (m + 1)
+    weight = [0.0] * m
+
+    def add(i, w):
+        weight[i] += w
+        i += 1
+        while i <= m:
+            tree[i] += w
+            i += i & -i
+
+    def trim(heap, sign, need):
+        while need > 0.0:
+            i = sign * heap[0]
+            w = weight[i]
+            if w <= need:  # consumed: w - w leaves the exact zero that marks it dead
+                heapq.heappop(heap)
+                if w > 0.0:
+                    need -= w
+                    add(i, -w)
+            else:
+                add(i, -need)
+                need = 0.0
+
+    def live(heap, sign):
+        while weight[sign * heap[0]] == 0.0:
+            heapq.heappop(heap)
+        return pos[sign * heap[0]]
+
+    start = int(np.searchsorted(positions, 0.0))
+    low, high = [start], [-start]
+    add(start, 2.0)
+    peaks, lo, hi = [0.0] * d, [0.0] * d, [0.0] * d
+    for j in range(d):
+        lo[j] = live(low, 1)
+        hi[j] = live(high, -1)
+        k, s = left_of[j], 0.0
+        while k > 0:
+            s += tree[k]
+            k -= k & -k
+        peaks[j] = s - 1.0
+        if j < d - 1:
+            g, i = gaps[j], insert_at[j]
+            if weight[i] == 0.0:
+                heapq.heappush(low, i)
+                heapq.heappush(high, -i)
+            add(i, 2.0 * g)
+            trim(low, 1, g)
+            trim(high, -1, g)
+    return peaks, lo, hi
 
 
 def smce(dist: EmpiricalDistribution) -> tuple[float, WeightVector]:
@@ -110,15 +195,19 @@ def smce(dist: EmpiricalDistribution) -> tuple[float, WeightVector]:
     Maximizes sum_v c_v z_v over z in [-1, 1] with adjacent-pair Lipschitz
     constraints, where c_v sums the residuals of all samples predicting v.
     The value is nonnegative because z = 0 is feasible and the weight class
-    is symmetric under negation.
+    is symmetric under negation; it is computed from the returned witness.
     """
     values, coef = _merged_coefficients(dist)
-    if len(values) == 1:
-        z = 1.0 if coef[0] >= 0 else -1.0
-        return abs(float(coef[0])), WeightVector(values=(float(values[0]),), z=(z,))
-    A, b = _lipschitz_chain(values)
-    objective, z = _run_lp(-coef, A_ub=A, b_ub=b, bounds=(-1.0, 1.0))
-    return max(-objective, 0.0), _clean_witness(values, z)
+    z, _, _ = _chain_dp(values, coef)
+    gaps = np.diff(values).tolist()
+    # Backwards from the last value, each weight is its peak clipped to the
+    # window that the next weight allows.
+    z[-1] = min(max(z[-1], -1.0), 1.0)
+    for j in range(len(z) - 2, -1, -1):
+        z[j] = min(max(z[j], z[j + 1] - gaps[j]), z[j + 1] + gaps[j])
+    witness = _clean_witness(values.tolist(), z)
+    value = float(coef @ np.array(witness.z))
+    return (value if value > 0.0 else 0.0), witness
 
 
 def smce_full_pairwise(dist: EmpiricalDistribution) -> float:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from calibdist.core import EmpiricalDistribution, SeededRng
 
@@ -64,6 +66,29 @@ def intce_small_support(dist: EmpiricalDistribution) -> float:
             total += mass[lo:hi].sum() * (values[hi - 1] - values[lo])
         best = min(best, total)
     return float(best)
+
+
+def smce_adjacent_lp(dist: EmpiricalDistribution) -> float:
+    """Smooth calibration error as a HiGHS LP with adjacent Lipschitz rows.
+
+    One variable per distinct value with the summed residual coefficient,
+    boxed to [-1, 1], and |z_{i+1} - z_i| <= v_{i+1} - v_i for each
+    neighbouring pair.
+    """
+    values, inverse = np.unique(dist.v, return_inverse=True)
+    coef = np.bincount(inverse, weights=dist.residuals(), minlength=len(values)) / dist.n
+    d = len(values)
+    if d == 1:
+        return abs(float(coef[0]))
+    diff = sp.diags([-np.ones(d - 1), np.ones(d - 1)], [0, 1], shape=(d - 1, d))
+    gaps = np.diff(values)
+    res = linprog(-coef, A_ub=sp.vstack([diff, -diff]), b_ub=np.concatenate([gaps, gaps]),
+                  bounds=(-1.0, 1.0), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-9,
+                           "dual_feasibility_tolerance": 1e-9})
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
+    return max(-float(res.fun), 0.0)
 
 
 def random_distribution(rng: np.random.Generator, max_n: int = 200) -> EmpiricalDistribution:

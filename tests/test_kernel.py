@@ -17,6 +17,7 @@ from calibdist import (
     kernel_identity_check,
     make_empirical,
 )
+from calibdist import kernel
 from calibdist.kernel import _binning_draws, _canonical, _fourier_draws
 
 from _oracles import kce2_direct, random_distribution
@@ -178,3 +179,14 @@ def test_kernel_identity_check_converges():
         sigma_bin = math.sqrt(target * (1 - target) / reps)
         assert abs(cos_est - target) <= 4 * sigma_cos
         assert abs(bin_est - target) <= 4 * sigma_bin
+
+
+def test_binning_chunks_are_bitwise_identical(monkeypatch):
+    v, r = _canonical(random_distribution(np.random.default_rng(36), max_n=60))
+    reps = kernel._REP_BATCH + 300  # two batches of random draws
+    monkeypatch.setattr(kernel, "_CHUNK_CELLS", reps * len(v))
+    whole = _binning_draws(v, r, reps, SeededRng(12))
+    for rows in (1, 7):
+        monkeypatch.setattr(kernel, "_CHUNK_CELLS", rows * len(v))
+        chunked = _binning_draws(v, r, reps, SeededRng(12))
+        assert chunked.tobytes() == whole.tobytes()

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from calibdist import TooLarge, WeightVector, make_empirical, smce, smce_full_pairwise
+from calibdist.smooth import _chain_dp, _merged_coefficients
 
-from _oracles import random_distribution
+from _oracles import random_distribution, smce_adjacent_lp
+
+# Predictions on a 1e-6 grid, or drawn from a few values that force ties and
+# hit both ends of [0, 1].
+_prediction = st.one_of(
+    st.sampled_from([0.0, 0.125, 0.5, 0.875, 1.0]),
+    st.integers(0, 10**6).map(lambda k: k / 10**6),
+)
+_samples = st.lists(st.tuples(_prediction, st.integers(0, 1)), min_size=1, max_size=40)
+_fuzz = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def test_smce_merged_zero():
@@ -101,3 +112,72 @@ def test_smce_zero_on_perfectly_calibrated():
             continue
         value, _ = smce(d)
         assert value <= 1e-12
+
+
+@_fuzz
+@given(_samples)
+@example([(0.3, 1)])  # a single distinct value
+@example([(0.5, 0), (0.5, 1)])  # one value, zero coefficient
+@example([(0.0, 0), (1.0, 1)])  # all-zero coefficients at both ends
+@example([(0.25, 0), (0.25, 0), (0.25, 0), (0.25, 1), (0.5, 0), (0.5, 1)])
+@example([(0.0, 1), (1.0, 0), (1.0, 0)])
+def test_smce_matches_adjacent_lp(samples):
+    d = make_empirical(samples)
+    value, _ = smce(d)
+    assert abs(value - smce_adjacent_lp(d)) <= 1e-9
+
+
+@_fuzz
+@given(_samples, st.integers(2, 4), st.data())
+def test_smce_invariant_under_permutation_repetition_and_flip(samples, k, data):
+    value, _ = smce(make_empirical(samples))
+    permuted = data.draw(st.permutations(samples))
+    flipped = [(1.0 - v, 1 - y) for v, y in samples]
+    for changed in (permuted, samples * k, flipped):
+        assert abs(smce(make_empirical(changed))[0] - value) <= 1e-12
+
+
+def _certificate(d):
+    """smce's value, its witness objective, and the dual path's objective."""
+    values, coef = _merged_coefficients(d)
+    value, w = smce(d)
+    primal = float(coef @ np.array(w.z))
+    _, lo, hi = _chain_dp(values, coef)
+    prefix = np.cumsum(coef)
+    # dual path: A_d = S_d, A_{j-1} = clip(A_j, lo_j, hi_j), A_0 = 0
+    a = np.empty(len(values) + 1)
+    a[-1] = prefix[-1]
+    for j in range(len(values), 0, -1):
+        a[j - 1] = min(max(a[j], lo[j - 1]), hi[j - 1])
+    assert a[0] == 0.0
+    dual = np.abs(np.diff(a)).sum() + (np.diff(values) * np.abs(a[1:-1] - prefix[:-1])).sum()
+    return value, primal, float(dual)
+
+
+@_fuzz
+@given(_samples)
+def test_value_is_the_certified_witness_objective(samples):
+    value, primal, dual = _certificate(make_empirical(samples))
+    assert value == max(primal, 0.0)  # exact, no tolerance
+    assert abs(dual - primal) <= 1e-12
+
+
+def test_primal_dual_gap_certified_on_larger_instances():
+    rng = np.random.default_rng(34)
+    for _ in range(60):
+        value, primal, dual = _certificate(random_distribution(rng, max_n=2000))
+        assert value == max(primal, 0.0)
+        assert abs(dual - primal) <= 1e-12
+
+
+def test_smce_runs_no_lp(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("smce must not call an LP solver")
+
+    monkeypatch.setattr("calibdist.smooth._run_lp", boom)
+    monkeypatch.setattr("calibdist.smooth.linprog", boom)
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        d = random_distribution(rng)
+        value, _ = smce(d)
+        assert value >= 0.0
