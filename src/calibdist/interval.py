@@ -4,8 +4,10 @@ For a fixed bin width the binned error, as a function of the random shift r,
 is piecewise constant in r with at most one breakpoint per sample (the shift
 at which that sample crosses into the previous bin).  Both the Monte Carlo
 estimator and the exact expectation over shifts are evaluated on that profile,
-so a draw count in the hundreds of thousands costs almost nothing beyond
-generating the draws.
+which a sorted event sweep builds in O(n log n) numpy operations per width.
+Each Monte Carlo draw then costs one binary search among the distinct
+breakpoints and one gather; with hundreds of thousands of draws per width,
+that lookup is the larger half of ``rintce_hat``'s cost.
 """
 
 from __future__ import annotations
@@ -75,9 +77,19 @@ def _shift_profile(dist: EmpiricalDistribution, width: float):
     ``values[i]`` is the profile value after the first i breakpoints, i.e.
     on the piece of [0, width) between breaks[i-1] (exclusive) and breaks[i]
     (inclusive).
+
+    The profile is an event sweep: breakpoint i moves r_i from bin q_i to bin
+    q_i - 1, i.e. updates bin q_i by -r_i and then bin q_i - 1 by +r_i.  A
+    stable sort by bin keeps each bin's updates in time order, so a running
+    sum per bin gives every bin value before and after each update; a running
+    sum of the |.| changes in time order gives the profile.  Each sum adds the
+    same floats in the same order as a per-sample walk with one dict of bin
+    sums (``tests/_oracles.shift_profile_loop``), so the result is bit for bit
+    that walk's.  Python loops only over bins, never over samples.
     """
     v = dist.v
     r = dist.residuals()
+    n = dist.n
     q = np.floor(v / width).astype(np.int64)
     rho = v - q * width
     # guard against float drift putting rho outside [0, width)
@@ -88,29 +100,65 @@ def _shift_profile(dist: EmpiricalDistribution, width: float):
     q[under] -= 1
     rho[under] += width
 
+    q -= q.min() - 1  # bin ids from 1, so every q - 1 is an id >= 0
+    if int(q.max()) > 2 * n:
+        # narrow widths: shrink gaps between occupied bins to one empty bin,
+        # which keeps q - 1 apart from every other occupied bin
+        used, q = np.unique(q, return_inverse=True)
+        q = np.cumsum(np.minimum(np.diff(used, prepend=-1), 2))[q]
+
+    # initial bin sums in sample order; their total in order of first
+    # appearance, as the dict of a per-sample walk holds them
+    init = np.bincount(q, weights=r)
+    first = np.full(len(init), n)
+    np.minimum.at(first, q, np.arange(n))
+    occupied = np.flatnonzero(first < n)
+    total = sum(abs(s) for s in init[occupied[np.argsort(first[occupied])]])
+
     order = np.lexsort((q, rho))
     rho = rho[order]
-    q_sorted = q[order]
-    res_sorted = r[order]
+    # event i, in time order, is the update pair (q_i, -r_i), (q_i - 1, +r_i)
+    ids = np.empty(2 * n, dtype=np.int32)
+    ids[0::2] = q[order]
+    ids[1::2] = ids[0::2] - 1
+    steps = np.empty(2 * n)
+    steps[1::2] = r[order]
+    np.negative(steps[1::2], out=steps[0::2])
+    by_bin = np.argsort(ids, kind="stable")
+    ids = ids[by_bin]
+    after = steps[by_bin]
+    heads = np.flatnonzero(np.diff(ids, prepend=-1))
+    start = init[ids[heads]]
+    after[heads] += start
+    tails = np.append(heads[1:], 2 * n)
+    runs = tails - heads > 1
+    for s, e in zip(heads[runs], tails[runs]):
+        np.cumsum(after[s:e], out=after[s:e])
+    before = np.empty_like(after)
+    before[1:] = after[:-1]
+    before[heads] = start
 
-    bins: dict[int, float] = {}
-    for qi, ri in zip(q, r):
-        bins[int(qi)] = bins.get(int(qi), 0.0) + ri
-    total = sum(abs(s) for s in bins.values())
+    # back to time order as magnitudes, steps holding |new| and after |old|;
+    # per event total -= |old_q| + |old_lo|, then total += |new_q| + |new_lo|
+    steps[by_bin] = np.abs(after)
+    after[by_bin] = np.abs(before)
+    profile = np.empty(2 * n + 1)
+    profile[0] = total
+    profile[1::2] = -(after[0::2] + after[1::2])
+    profile[2::2] = steps[0::2] + steps[1::2]
+    np.cumsum(profile, out=profile)
+    return rho, profile[0::2] / n
 
-    n = dist.n
-    values = np.empty(n + 1)
-    values[0] = total
-    for i in range(n):
-        qi = int(q_sorted[i])
-        ri = float(res_sorted[i])
-        lo = qi - 1
-        total -= abs(bins.get(qi, 0.0)) + abs(bins.get(lo, 0.0))
-        bins[qi] = bins.get(qi, 0.0) - ri
-        bins[lo] = bins.get(lo, 0.0) + ri
-        total += abs(bins[qi]) + abs(bins[lo])
-        values[i + 1] = total
-    return rho, values / n
+
+def _piece_index(breaks: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(breaks, draws, "left")``, searched among distinct breaks.
+
+    Quantized inputs repeat breakpoints; each draw is looked up among the
+    distinct ones and mapped to the first index of its tie group, which is
+    the same index.
+    """
+    heads = np.flatnonzero(np.diff(breaks, prepend=-np.inf))
+    return np.append(heads, len(breaks))[np.searchsorted(breaks[heads], draws, side="left")]
 
 
 def rintce_exact(dist: EmpiricalDistribution, width: float) -> float:
@@ -137,8 +185,7 @@ def rintce_hat(
     breaks, values = _shift_profile(dist, width)
     draws = rng.uniform(0.0, width, shifts_m)
     # value for draw r is the state after all breakpoints strictly below r
-    idx = np.searchsorted(breaks, draws, side="left")
-    return float(values[idx].mean())
+    return float(values[_piece_index(breaks, draws)].mean())
 
 
 def _sintce(dist: EmpiricalDistribution, epsilon: float, shifts_m: int | None,

@@ -109,7 +109,9 @@ def _kce2_gaussian(v: np.ndarray, r: np.ndarray) -> float:
     total = 0.0
     vk = np.ones_like(v)
     for k in range(_GAUSS_SERIES_TERMS):
-        sk = float(w @ vk)
+        # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits a long dot
+        # product across its threads, so its last bits followed the thread count
+        sk = float(np.sum(w * vk))
         total += math.exp(k * math.log(2.0) - gammaln(k + 1)) * sk * sk
         vk = vk * v
     return total / len(v) ** 2

@@ -44,6 +44,49 @@ def rintce_mc_direct(dist: EmpiricalDistribution, width: float, shifts: int,
     return total / shifts
 
 
+def shift_profile_loop(dist: EmpiricalDistribution, width: float):
+    """The interval shift profile as a per-sample walk over a dict of bin sums.
+
+    Same contract as ``calibdist.interval._shift_profile``; the fast sweep
+    must return these bits exactly.
+    """
+    v = dist.v
+    r = dist.residuals()
+    q = np.floor(v / width).astype(np.int64)
+    rho = v - q * width
+    # guard against float drift putting rho outside [0, width)
+    over = rho >= width
+    q[over] += 1
+    rho[over] -= width
+    under = rho < 0.0
+    q[under] -= 1
+    rho[under] += width
+
+    order = np.lexsort((q, rho))
+    rho = rho[order]
+    q_sorted = q[order]
+    res_sorted = r[order]
+
+    bins: dict[int, float] = {}
+    for qi, ri in zip(q, r):
+        bins[int(qi)] = bins.get(int(qi), 0.0) + ri
+    total = sum(abs(s) for s in bins.values())
+
+    n = dist.n
+    values = np.empty(n + 1)
+    values[0] = total
+    for i in range(n):
+        qi = int(q_sorted[i])
+        ri = float(res_sorted[i])
+        lo = qi - 1
+        total -= abs(bins.get(qi, 0.0)) + abs(bins.get(lo, 0.0))
+        bins[qi] = bins.get(qi, 0.0) - ri
+        bins[lo] = bins.get(lo, 0.0) + ri
+        total += abs(bins[qi]) + abs(bins[lo])
+        values[i + 1] = total
+    return rho, values / n
+
+
 def intce_small_support(dist: EmpiricalDistribution) -> float:
     """Exact interval calibration error for tiny supports.
 

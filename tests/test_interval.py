@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from calibdist import (
     BadWidth,
@@ -13,9 +14,20 @@ from calibdist import (
     sintce_exact,
     sintce_hat,
 )
-from calibdist.interval import default_shifts, width_exponent
+from calibdist.interval import _piece_index, _shift_profile, default_shifts, width_exponent
 
-from _oracles import random_distribution, rintce_mc_direct
+from _oracles import random_distribution, rintce_mc_direct, shift_profile_loop
+
+# Predictions on a 1e-3 grid (ties, as in quantized files), on a 1e-6 grid,
+# or drawn from a few values that hit both ends of [0, 1].
+_prediction = st.one_of(
+    st.sampled_from([0.0, 0.125, 0.3, 0.5, 1.0]),
+    st.integers(0, 1000).map(lambda k: k / 1000),
+    st.integers(0, 10**6).map(lambda k: k / 10**6),
+)
+_samples = st.lists(st.tuples(_prediction, st.integers(0, 1)), min_size=1, max_size=60)
+_width = st.sampled_from([2.0**-k for k in range(9)] + [0.3, 0.17])
+_fuzz = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def test_rintce_zero_on_calibrated_endpoints():
@@ -150,3 +162,42 @@ def test_sintce_range():
         assert 0.0 < val <= 2.0
         exact = sintce_exact(d, 0.1)
         assert 0.0 < exact <= 2.0
+
+
+@_fuzz
+@given(_samples, _width)
+@example([(0.5, 1)], 1.0)  # n = 1
+@example([(0.0, 0), (1.0, 1), (1.0, 0), (0.0, 1)], 0.5)  # both ends, tied
+@example([(0.3, 1)] * 5 + [(0.6, 0)] * 3, 0.3)  # v a multiple of the width
+@example([(0.17, 0), (0.34, 1), (0.51, 1)], 0.17)
+@example([(0.0, 1), (0.5, 0), (0.5000001, 1), (1.0, 0)], 1e-9)  # ~10^9 bins
+def test_shift_profile_matches_loop_bitwise(samples, width):
+    d = make_empirical(samples)
+    breaks, values = _shift_profile(d, width)
+    want_breaks, want_values = shift_profile_loop(d, width)
+    assert breaks.tobytes() == want_breaks.tobytes()
+    assert values.tobytes() == want_values.tobytes()
+
+
+@_fuzz
+@given(_samples, _width, st.integers(0, 2**32 - 1))
+def test_piece_index_is_searchsorted(samples, width, seed):
+    breaks, _ = _shift_profile(make_empirical(samples), width)
+    draws = np.random.default_rng(seed).uniform(0.0, width, 300)
+    # draws exactly on a break, and the ends of the range
+    draws = np.concatenate([draws, breaks, [0.0, width]])
+    assert np.array_equal(_piece_index(breaks, draws),
+                          np.searchsorted(breaks, draws, side="left"))
+
+
+@_fuzz
+@given(_samples, st.integers(2, 4), _width, st.data())
+def test_exact_interval_errors_invariant_under_permutation_and_repetition(
+        samples, k, width, data):
+    # Within a tie group the sums follow input order, so only to round-off.
+    d = make_empirical(samples)
+    rint, sint = rintce_exact(d, width), sintce_exact(d, 0.05)
+    for changed in (data.draw(st.permutations(samples)), samples * k):
+        c = make_empirical(changed)
+        assert abs(rintce_exact(c, width) - rint) <= 1e-12
+        assert abs(sintce_exact(c, 0.05) - sint) <= 1e-12

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from calibdist import (
     kernel_identity_check,
     make_empirical,
 )
+import calibdist
 from calibdist import kernel
 from calibdist.kernel import _binning_draws, _canonical, _fourier_draws
 
@@ -190,3 +195,25 @@ def test_binning_chunks_are_bitwise_identical(monkeypatch):
         monkeypatch.setattr(kernel, "_CHUNK_CELLS", rows * len(v))
         chunked = _binning_draws(v, r, reps, SeededRng(12))
         assert chunked.tobytes() == whole.tobytes()
+
+
+def test_gaussian_kce_bits_independent_of_blas_threads():
+    # Above 10^4 elements OpenBLAS splits a dot product across its threads,
+    # which moves the last bits of the sum.
+    src = str(Path(calibdist.__file__).resolve().parent.parent)
+    probe = (
+        "import numpy as np\n"
+        "from calibdist import EmpiricalDistribution, KernelKind, kce_exact\n"
+        "rng = np.random.default_rng(5)\n"
+        "v = rng.random(100_000)\n"
+        "d = EmpiricalDistribution(v, (rng.random(v.size) < v**1.3).astype(np.int8))\n"
+        "print(kce_exact(d, KernelKind.GAUSSIAN).hex())\n"
+    )
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, env=env, check=True)
+        bits.append(run.stdout.strip())
+    assert bits[0] == bits[1]
