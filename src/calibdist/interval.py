@@ -5,9 +5,11 @@ is piecewise constant in r with at most one breakpoint per sample (the shift
 at which that sample crosses into the previous bin).  Both the Monte Carlo
 estimator and the exact expectation over shifts are evaluated on that profile,
 which a sorted event sweep builds in O(n log n) numpy operations per width.
-Each Monte Carlo draw then costs one binary search among the distinct
-breakpoints and one gather; with hundreds of thousands of draws per width,
-that lookup is the larger half of ``rintce_hat``'s cost.
+Each Monte Carlo draw is then looked up in a table of equal buckets over
+[0, width): a bucket that holds no breakpoint has one known piece value, so
+most draws cost one multiply and one gather, and only draws in a bucket that
+holds a breakpoint take a binary search.  The draws are the same stream and
+the gathered values the same floats as a binary search of every draw.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ __all__ = [
 # config can replace the rule's result through shifts_m, not the constants.
 SHIFT_RULE_C = 8.0
 SHIFT_RULE_DELTA = 0.05
+
+_DRAW_BLOCK = 1 << 16  # Monte Carlo draws generated and looked up at a time
+_MAX_BUCKETS = 1 << 16  # largest bucket table, 512 KiB of float64
 
 
 def width_exponent(epsilon: float) -> int:
@@ -150,21 +155,55 @@ def _shift_profile(dist: EmpiricalDistribution, width: float):
     return rho, profile[0::2] / n
 
 
-def _piece_index(breaks: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(breaks, draws, "left")``, searched among distinct breaks.
+def _check_width(dist: EmpiricalDistribution, width: float) -> None:
+    if not (0.0 < width <= 1.0):
+        raise BadWidth(f"width must satisfy 0 < width <= 1, got {width}")
+    # the bin ids floor(v / width) are int64, and max(v) / width is the largest
+    if float(dist.v.max()) / width >= 2.0**63:
+        raise BadWidth(f"width {width} is too small: bin ids overflow int64")
 
-    Quantized inputs repeat breakpoints; each draw is looked up among the
-    distinct ones and mapped to the first index of its tie group, which is
-    the same index.
+
+class _PieceLookup:
+    """Piece values ``values[np.searchsorted(breaks, x, "left")]`` of draws x in [0, width].
+
+    Quantized inputs repeat breakpoints, so the search runs among the distinct
+    ones, each paired with the value after all breaks below it.  In front of
+    the search sits a table of equal buckets: x falls in bucket floor(x *
+    scale), with scale = buckets / width.  That map is monotone, so the breaks
+    below x include every break in a lower bucket and none in a higher one,
+    and in a bucket that holds no break every x has the same piece value.
+    ``table[k]`` holds that value, or NaN (never a profile value) where bucket
+    k holds a break; only draws there are searched.  About 16 buckets per
+    distinct break keep most draws off the occupied ones.  With more distinct
+    breaks than the largest table has buckets, or a scale that overflows,
+    every draw is searched.
     """
-    heads = np.flatnonzero(np.diff(breaks, prepend=-np.inf))
-    return np.append(heads, len(breaks))[np.searchsorted(breaks[heads], draws, side="left")]
+
+    def __init__(self, breaks: np.ndarray, values: np.ndarray, width: float):
+        tied = breaks[1:] == breaks[:-1]
+        if tied.any():
+            heads = np.flatnonzero(np.append(True, ~tied))
+            breaks, values = breaks[heads], values[np.append(heads, len(breaks))]
+        self.breaks, self.values = breaks, values
+        buckets = min(1 << (16 * len(breaks) - 1).bit_length(), _MAX_BUCKETS)
+        self.scale = buckets / width
+        self.table = None
+        if len(breaks) <= buckets and math.isfinite(self.scale):
+            keys = (breaks * self.scale).astype(np.intp)
+            self.table = values[np.searchsorted(keys, np.arange(buckets + 1), side="left")]
+            self.table[keys] = np.nan
+
+    def __call__(self, draws: np.ndarray, out: np.ndarray) -> None:
+        miss = slice(None)
+        if self.table is not None:
+            np.take(self.table, (draws * self.scale).astype(np.intp), out=out)
+            miss = np.flatnonzero(np.isnan(out))
+        out[miss] = self.values[np.searchsorted(self.breaks, draws[miss], side="left")]
 
 
 def rintce_exact(dist: EmpiricalDistribution, width: float) -> float:
     """Exact expectation over the uniform shift r ~ Unif[0, width)."""
-    if not (0.0 < width <= 1.0):
-        raise BadWidth(f"width must satisfy 0 < width <= 1, got {width}")
+    _check_width(dist, width)
     breaks, values = _shift_profile(dist, width)
     edges = np.concatenate([[0.0], breaks, [width]])
     lengths = np.diff(edges)  # n + 1 pieces, matching the n + 1 profile values
@@ -178,14 +217,18 @@ def rintce_hat(
     rng: SeededRng,
 ) -> float:
     """Average of the shifted binned error over shifts_m uniform draws of r."""
-    if not (0.0 < width <= 1.0):
-        raise BadWidth(f"width must satisfy 0 < width <= 1, got {width}")
+    _check_width(dist, width)
     if shifts_m < 1:
         raise BadConfig(f"shifts_m must be >= 1, got {shifts_m}")
-    breaks, values = _shift_profile(dist, width)
-    draws = rng.uniform(0.0, width, shifts_m)
-    # value for draw r is the state after all breakpoints strictly below r
-    return float(values[_piece_index(breaks, draws)].mean())
+    lookup = _PieceLookup(*_shift_profile(dist, width), width)
+    # The draws come in blocks, which is the same stream as one call, and the
+    # value for draw r is the state after all breakpoints strictly below r.
+    # One mean over all of them sums in the same order as a single gather.
+    out = np.empty(shifts_m)
+    for lo in range(0, shifts_m, _DRAW_BLOCK):
+        draws = rng.uniform(0.0, width, min(_DRAW_BLOCK, shifts_m - lo))
+        lookup(draws, out[lo:lo + len(draws)])
+    return float(out.mean())
 
 
 def _sintce(dist: EmpiricalDistribution, epsilon: float, shifts_m: int | None,

@@ -47,7 +47,7 @@ __all__ = [
 
 _GAUSS_SERIES_TERMS = 48
 _REP_BATCH = 4096  # fixed batching keeps results bit-identical across machines
-_CHUNK_CELLS = 1 << 20  # rows * n per block of binning arithmetic
+_CHUNK_CELLS = 1 << 20  # rows * n per block of fourier and binning arithmetic
 
 
 class KernelKind(str, Enum):
@@ -101,7 +101,8 @@ def _canonical(dist: EmpiricalDistribution):
 def _kce2_laplace(v: np.ndarray, r: np.ndarray) -> float:
     prefix = np.cumsum(r * np.exp(v))
     s = float(np.sum(r * np.exp(-v) * prefix))
-    return (2.0 * s - float(r @ r)) / len(v) ** 2
+    # np.sum, not the BLAS dot r @ r, whose last bits follow the thread count
+    return (2.0 * s - float(np.sum(r * r))) / len(v) ** 2
 
 
 def _kce2_gaussian(v: np.ndarray, r: np.ndarray) -> float:
@@ -134,17 +135,24 @@ def kce_exact(dist: EmpiricalDistribution, kind: KernelKind,
 
 
 def _fourier_draws(v, r, reps, rng: SeededRng) -> np.ndarray:
-    # Not chunked like binning: a one-row block's matrix-vector product sums
-    # in another order than the full batch's, which changes the low bits.
     n = len(v)
     out = np.empty(reps)
+    rows = max(1, _CHUNK_CELLS // n)
     for start in range(0, reps, _REP_BATCH):
         stop = min(start + _REP_BATCH, reps)
         omega = np.tan(np.pi * (rng.random(stop - start) - 0.5))
-        phase = omega[:, None] * v[None, :]
-        cos_acc = np.cos(phase) @ r
-        sin_acc = np.sin(phase) @ r
-        out[start:stop] = (cos_acc**2 + sin_acc**2) / n**2
+        # Rows of at most _CHUNK_CELLS cells.  numpy sums each row pairwise on
+        # its own, so neither the chunk size nor BLAS threads move the bits.
+        for lo in range(0, stop - start, rows):
+            hi = min(lo + rows, stop - start)
+            phase = omega[lo:hi, None] * v[None, :]
+            terms = np.cos(phase)
+            terms *= r
+            cos_acc = np.sum(terms, axis=1)
+            np.sin(phase, out=terms)
+            terms *= r
+            sin_acc = np.sum(terms, axis=1)
+            out[start + lo:start + hi] = (cos_acc**2 + sin_acc**2) / n**2
     return out
 
 

@@ -87,6 +87,17 @@ def shift_profile_loop(dist: EmpiricalDistribution, width: float):
     return rho, values / n
 
 
+def rintce_hat_search(dist: EmpiricalDistribution, width: float, shifts_m: int,
+                      rng: SeededRng) -> float:
+    """``rintce_hat`` as one binary search of every draw of one uniform call.
+
+    The bucket-table lookup in ``calibdist.interval`` must return these bits.
+    """
+    breaks, values = shift_profile_loop(dist, width)
+    draws = rng.uniform(0.0, width, shifts_m)
+    return float(values[np.searchsorted(breaks, draws, "left")].mean())
+
+
 def intce_small_support(dist: EmpiricalDistribution) -> float:
     """Exact interval calibration error for tiny supports.
 

@@ -14,9 +14,10 @@ from calibdist import (
     sintce_exact,
     sintce_hat,
 )
-from calibdist.interval import _piece_index, _shift_profile, default_shifts, width_exponent
+from calibdist import interval
+from calibdist.interval import _PieceLookup, _shift_profile, default_shifts, width_exponent
 
-from _oracles import random_distribution, rintce_mc_direct, shift_profile_loop
+from _oracles import random_distribution, rintce_hat_search, rintce_mc_direct, shift_profile_loop
 
 # Predictions on a 1e-3 grid (ties, as in quantized files), on a 1e-6 grid,
 # or drawn from a few values that hit both ends of [0, 1].
@@ -182,12 +183,68 @@ def test_shift_profile_matches_loop_bitwise(samples, width):
 @_fuzz
 @given(_samples, _width, st.integers(0, 2**32 - 1))
 def test_piece_index_is_searchsorted(samples, width, seed):
-    breaks, _ = _shift_profile(make_empirical(samples), width)
-    draws = np.random.default_rng(seed).uniform(0.0, width, 300)
-    # draws exactly on a break, and the ends of the range
-    draws = np.concatenate([draws, breaks, [0.0, width]])
-    assert np.array_equal(_piece_index(breaks, draws),
-                          np.searchsorted(breaks, draws, side="left"))
+    # The lookup gives the value at np.searchsorted(breaks, draws, "left"),
+    # through the bucket table and through the plain search among distinct
+    # breaks (no table, as with more distinct breaks than buckets).
+    breaks, values = _shift_profile(make_empirical(samples), width)
+    lookup = _PieceLookup(breaks, values, width)
+    assert lookup.table is not None
+    # random draws, every break and its float neighbours, the bucket edges
+    # k / scale and both ends of [0, width]
+    near = [np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf)]
+    edges = np.arange(int(lookup.scale * width) + 2) / lookup.scale
+    draws = np.concatenate([np.random.default_rng(seed).uniform(0.0, width, 300),
+                            breaks, *near, edges, [0.0, width]])
+    draws = draws[(draws >= 0.0) & (draws <= width)]
+    want = values[np.searchsorted(breaks, draws, side="left")]
+    for table in (lookup.table, None):
+        lookup.table = table
+        got = np.full(len(draws), np.nan)
+        lookup(draws, got)
+        assert got.tobytes() == want.tobytes()
+
+
+_BLOCK = interval._DRAW_BLOCK
+
+
+@_fuzz
+@given(_samples, _width, st.sampled_from([1, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7]),
+       st.integers(0, 2**32 - 1))
+@example([(0.3, 1)] * 5 + [(0.6, 0)] * 3 + [(0.0, 1), (1.0, 0)], 0.3, _BLOCK + 1, 0)  # ties
+@example([(0.5, 1), (0.5, 0), (0.25, 1), (0.75, 0)], 2.0**-8, 3 * _BLOCK + 7, 1)
+def test_rintce_hat_matches_search_oracle(samples, width, shifts_m, seed):
+    d = make_empirical(samples)
+    got = rintce_hat(d, width, shifts_m, SeededRng(seed))
+    assert got == rintce_hat_search(d, width, shifts_m, SeededRng(seed))
+
+
+def test_rintce_hat_without_table_matches_search_oracle():
+    # More distinct breaks than the largest table has buckets; and a bucket
+    # scale that overflows, since all predictions at 0 allow any width.
+    v = np.random.default_rng(27).random(interval._MAX_BUCKETS + 1000)
+    wide = make_empirical(list(zip(v, (v > 0.4).astype(int))))
+    zeros = make_empirical([(0.0, 1), (0.0, 0), (0.0, 1)])
+    for d, width in ((wide, 0.5), (zeros, 1e-310)):
+        breaks, values = _shift_profile(d, width)
+        assert _PieceLookup(breaks, values, width).table is None
+        shifts_m = _BLOCK + 1
+        assert (rintce_hat(d, width, shifts_m, SeededRng(8))
+                == rintce_hat_search(d, width, shifts_m, SeededRng(8)))
+    assert rintce_hat(zeros, 1e-310, 10, SeededRng(8)) == pytest.approx(2 / 3, abs=1e-15)
+
+
+def test_tiny_widths_raise_bad_width():
+    # floor(v / width) must fit in int64: 0.9 / 2^-63 does, 0.9 / 2^-64 not
+    d = make_empirical([(0.1, 1), (0.5, 0), (0.9, 1)])
+    assert rintce_exact(d, 2.0**-63) == pytest.approx(0.5, abs=1e-12)
+    assert rintce_hat(d, 2.0**-63, 100, SeededRng(1)) == pytest.approx(0.5, abs=1e-12)
+    for width in (2.0**-64, 1e-200, 1e-310):
+        with pytest.raises(BadWidth):
+            rintce_exact(d, width)
+        with pytest.raises(BadWidth):
+            rintce_hat(d, width, 100, SeededRng(1))
+    with pytest.raises(BadWidth):
+        sintce_exact(d, 1e-20)  # reaches width 2^-64
 
 
 @_fuzz

@@ -197,10 +197,35 @@ def test_binning_chunks_are_bitwise_identical(monkeypatch):
         assert chunked.tobytes() == whole.tobytes()
 
 
+def _stdout_per_blas_threads(probe):
+    """stdout of ``probe`` in a fresh interpreter under 1 and 2 OpenBLAS threads."""
+    src = str(Path(calibdist.__file__).resolve().parent.parent)
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, env=env, check=True)
+        bits.append(run.stdout.strip())
+    return bits
+
+
+def test_fourier_chunks_are_bitwise_identical(monkeypatch):
+    rng = np.random.default_rng(37)
+    for max_n in (60, 2000):
+        v, r = _canonical(random_distribution(rng, max_n=max_n))
+        reps = kernel._REP_BATCH + 300  # two batches of random draws
+        monkeypatch.setattr(kernel, "_CHUNK_CELLS", reps * len(v))
+        whole = _fourier_draws(v, r, reps, SeededRng(13))
+        for rows in (1, 3):
+            monkeypatch.setattr(kernel, "_CHUNK_CELLS", rows * len(v))
+            chunked = _fourier_draws(v, r, reps, SeededRng(13))
+            assert chunked.tobytes() == whole.tobytes()
+
+
 def test_gaussian_kce_bits_independent_of_blas_threads():
     # Above 10^4 elements OpenBLAS splits a dot product across its threads,
     # which moves the last bits of the sum.
-    src = str(Path(calibdist.__file__).resolve().parent.parent)
     probe = (
         "import numpy as np\n"
         "from calibdist import EmpiricalDistribution, KernelKind, kce_exact\n"
@@ -209,11 +234,26 @@ def test_gaussian_kce_bits_independent_of_blas_threads():
         "d = EmpiricalDistribution(v, (rng.random(v.size) < v**1.3).astype(np.int8))\n"
         "print(kce_exact(d, KernelKind.GAUSSIAN).hex())\n"
     )
-    bits = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             text=True, env=env, check=True)
-        bits.append(run.stdout.strip())
+    bits = _stdout_per_blas_threads(probe)
+    assert bits[0] == bits[1]
+
+
+@pytest.mark.parametrize("value", [
+    "kce_exact(d, KernelKind.LAPLACE)",
+    "kce_estimate_squared(d, KernelKind.LAPLACE, KernelEstimatorConfig("
+    "mode='fourier', reps_r=20, rng=SeededRng(3)))",
+], ids=["laplace-exact", "fourier"])
+def test_laplace_kce_bits_independent_of_blas_threads(value):
+    # Both moved under two threads while they used BLAS: the exact
+    # value's r @ r, and the fourier draws' matrix-vector products.
+    probe = (
+        "import numpy as np\n"
+        "from calibdist import (EmpiricalDistribution, KernelEstimatorConfig, KernelKind,\n"
+        "                       SeededRng, kce_estimate_squared, kce_exact)\n"
+        "rng = np.random.default_rng(3)\n"
+        "v = rng.random(100_000)\n"
+        "d = EmpiricalDistribution(v, (rng.random(v.size) < v).astype(np.int8))\n"
+        f"print(({value}).hex())\n"
+    )
+    bits = _stdout_per_blas_threads(probe)
     assert bits[0] == bits[1]
