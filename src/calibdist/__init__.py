@@ -8,6 +8,12 @@ primal/dual transport LPs, and Laplace/Gaussian kernel calibration error
 with exact and randomized estimators.  ``calibdist.fixtures`` carries the
 adversarial constructions and brute-force oracles used to certify the
 inequalities between the measures.
+
+Importing the package loads numpy but no scipy module.  scipy is loaded on
+first use by the two routines that need it: the lower-distance LPs
+(``calibdist.lowerdist`` owns the HiGHS calls) and the dbeta family's
+logistic map.  The general LPs for smooth calibration and the Monte Carlo
+kernel identity check are test oracles and live with the tests.
 """
 
 __version__ = "0.1.0"
@@ -64,7 +70,6 @@ from .kernel import (
     kce_estimate,
     kce_estimate_squared,
     kce_exact,
-    kernel_identity_check,
 )
 from .lowerdist import (
     CouplingSolution,
@@ -75,7 +80,7 @@ from .lowerdist import (
     ldce_dual_solution,
     ldce_primal_solution,
 )
-from .smooth import WeightVector, smce, smce_full_pairwise
+from .smooth import WeightVector, smce
 
 __all__ = [
     "__version__",
@@ -83,11 +88,11 @@ __all__ = [
     "make_empirical", "reliability_bins", "round_to_grid",
     "IntervalPartition", "binned_ece", "ece", "uniform_partition",
     "IntervalEstimatorConfig", "rintce_exact", "rintce_hat", "sintce_exact", "sintce_hat",
-    "WeightVector", "smce", "smce_full_pairwise",
+    "WeightVector", "smce",
     "CouplingSolution", "DualSolution", "Grid",
     "ldce", "ldce_both_forms", "ldce_dual_solution", "ldce_primal_solution",
     "KernelEstimatorConfig", "KernelKind",
-    "kce_estimate", "kce_estimate_squared", "kce_exact", "kernel_identity_check",
+    "kce_estimate", "kce_estimate_squared", "kce_exact",
     "FiniteProblem", "GaussGapConfig", "SyntheticConfig",
     "dce_bruteforce", "udce_bruteforce", "induce_gamma", "induce_gamma_exact",
     "f_eps", "gap_pa_pair", "gap_quadratic", "discontinuity_pair",

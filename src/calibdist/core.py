@@ -100,7 +100,7 @@ class SeededRng:
 
     def __init__(self, seed: int, _keys: tuple[int, ...] = ()):
         if not (0 <= int(seed) < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise BadConfig(f"seed must be an integer in [0, 2^64), got {seed}")
         self.seed = int(seed)
         self._keys = tuple(int(k) for k in _keys)
         self._gen = np.random.Generator(

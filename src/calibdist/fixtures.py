@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import expit
 
 from .core import EmpiricalDistribution, SeededRng
 from .errors import BadAlpha, BadConfig, BadEps, TooLarge
@@ -125,6 +124,8 @@ def f_eps(eps: float) -> FiniteProblem:
 
 def dbeta_transform(f, beta: float):
     """The map f -> f^beta / (f^beta + (1-f)^beta), stable at all betas."""
+    from scipy.special import expit  # deferred: scipy stays out of package import
+
     f = np.asarray(f, dtype=float)
     out = np.empty_like(f)
     interior = (f > 0.0) & (f < 1.0)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import EmpiricalDistribution, SeededRng
 from .errors import BadConfig, ModeKindMismatch, TooLarge
@@ -42,7 +41,6 @@ __all__ = [
     "kce_exact",
     "kce_estimate",
     "kce_estimate_squared",
-    "kernel_identity_check",
 ]
 
 _GAUSS_SERIES_TERMS = 48
@@ -113,7 +111,7 @@ def _kce2_gaussian(v: np.ndarray, r: np.ndarray) -> float:
         # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits a long dot
         # product across its threads, so its last bits followed the thread count
         sk = float(np.sum(w * vk))
-        total += math.exp(k * math.log(2.0) - gammaln(k + 1)) * sk * sk
+        total += 2**k / math.factorial(k) * sk * sk  # int / int: correctly rounded
         vk = vk * v
     return total / len(v) ** 2
 
@@ -215,24 +213,3 @@ def kce_estimate(dist: EmpiricalDistribution, kind: KernelKind,
                  cfg: KernelEstimatorConfig) -> float:
     """Kernel calibration error estimate: signed sqrt of the squared estimate."""
     return math.sqrt(max(kce_estimate_squared(dist, kind, cfg), 0.0))
-
-
-def kernel_identity_check(d: float, reps: int, rng: SeededRng) -> tuple[float, float]:
-    """Monte Carlo check of the two Laplace-kernel identities at distance d.
-
-    Returns (mean of cos(omega d) for omega ~ Cauchy(1), probability that two
-    points at distance d share a bin under the Gamma(2,1)-width random
-    binning); both converge to exp(-d).
-    """
-    if d < 0:
-        raise BadConfig(f"distance must be nonnegative, got {d}")
-    cos_total = 0.0
-    bin_total = 0
-    for start in range(0, reps, _REP_BATCH * 16):
-        b = min(_REP_BATCH * 16, reps - start)
-        omega = np.tan(np.pi * (rng.random(b) - 0.5))
-        cos_total += float(np.cos(omega * d).sum())
-        delta = -np.log(1.0 - rng.random(b)) - np.log(1.0 - rng.random(b))
-        tau = delta * rng.random(b)
-        bin_total += int(np.count_nonzero(d + tau < delta))
-    return cos_total / reps, bin_total / reps

@@ -12,6 +12,8 @@ pair r(u, 0), r(u, 1) and a slope variable s(u) per grid point: Lipschitz
 constraints are only needed between adjacent grid points (they telescope on a
 sorted line) and s may be boxed into [-1, 1] without changing the optimum.
 Strong duality makes the two objectives agree, which the tests exploit.
+Both programs go to HiGHS through ``_run_lp``; scipy is imported on the first
+solve, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import EmpiricalDistribution, round_to_grid
-from .errors import BadEps
-from .smooth import _lipschitz_chain, _run_lp
+from .errors import BadEps, SolverFailure
 
 __all__ = [
     "Grid",
@@ -89,6 +89,48 @@ class DualSolution:
     objective: float
 
 
+_SOLVER_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-9,
+    "dual_feasibility_tolerance": 1e-9,
+}
+_STATUS = {0: "optimal", 2: "infeasible"}
+
+
+def _run_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> tuple[float, np.ndarray]:
+    """(objective, x) at the optimum of a HiGHS solve; raises SolverFailure otherwise."""
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs", options=_SOLVER_OPTIONS)
+    status = _STATUS.get(res.status, "numerical-failure")
+    if status != "optimal":
+        raise SolverFailure(status, f"LP terminated with status {status}: {res.message}")
+    return float(res.fun), res.x
+
+
+def _lipschitz_chain(values: np.ndarray):
+    """Sparse A, b for |z_{i+1} - z_i| <= v_{i+1} - v_i on sorted values."""
+    import scipy.sparse as sp
+
+    d = len(values)
+    gaps = np.diff(values)
+    m = d - 1
+    rows = np.repeat(np.arange(2 * m), 2)
+    cols = np.empty(4 * m, dtype=np.int64)
+    data = np.empty(4 * m)
+    cols[0::4] = np.arange(m) + 1
+    cols[1::4] = np.arange(m)
+    data[0::4] = 1.0
+    data[1::4] = -1.0
+    cols[2::4] = np.arange(m) + 1
+    cols[3::4] = np.arange(m)
+    data[2::4] = -1.0
+    data[3::4] = 1.0
+    A = sp.csr_matrix((data, (rows, cols)), shape=(2 * m, d))
+    b = np.repeat(gaps, 2)  # rows 2i and 2i+1 both bound the i-th gap
+    return A, b
+
+
 def _check_eps(eps1: float, eps2: float) -> None:
     if not (0.0 < eps1 <= 0.5) or not (0.0 < eps2 <= 0.5):
         raise BadEps(f"eps1 and eps2 must be in (0, 1/2], got {eps1}, {eps2}")
@@ -114,6 +156,8 @@ def _discretize(dist: EmpiricalDistribution, eps1: float, eps2: float):
 def ldce_primal_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
                          eps2: float = 0.005) -> CouplingSolution:
     """Solve the coupling LP and return the optimal transport plan."""
+    import scipy.sparse as sp
+
     _check_eps(eps1, eps2)
     u, sv, sy, gamma = _discretize(dist, eps1, eps2)
     m, q = len(u), len(sv)
@@ -139,6 +183,8 @@ def ldce_primal_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
 def ldce_dual_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
                        eps2: float = 0.005) -> DualSolution:
     """Solve the reduced dual LP and return the witness variables."""
+    import scipy.sparse as sp
+
     _check_eps(eps1, eps2)
     u, sv, sy, gamma = _discretize(dist, eps1, eps2)
     m = len(u)

@@ -7,9 +7,8 @@ constraints between adjacent points imply all pairwise ones by telescoping.
 The remaining path-structured program is solved exactly in O(d log d) by a
 dynamic program over the convex conjugate of its value function (Hu,
 Jambulapati, Tian and Yang, "Testing Calibration in Nearly-Linear Time");
-the reported value is the objective of the witness it returns.  The full
-pairwise program is kept as a test oracle for the reduction, and the HiGHS
-helpers here serve it and the lower-distance programs.
+the reported value is the objective of the witness it returns.  Only numpy
+and the standard library are used; no LP solver runs here.
 """
 
 from __future__ import annotations
@@ -19,19 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .core import EmpiricalDistribution
-from .errors import SolverFailure, TooLarge
 
-__all__ = ["WeightVector", "smce", "smce_full_pairwise"]
-
-_FULL_PAIRWISE_CAP = 500
-_SOLVER_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
+__all__ = ["WeightVector", "smce"]
 
 
 @dataclass(frozen=True)
@@ -57,58 +47,11 @@ class WeightVector:
                 raise ValueError("weights must be 1-Lipschitz across adjacent values")
 
 
-_STATUS = {0: "optimal", 2: "infeasible"}
-
-
-def _run_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> tuple[float, np.ndarray]:
-    """(objective, x) at the optimum; shared by the smooth and lower-distance programs."""
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs", options=_SOLVER_OPTIONS)
-    status = _STATUS.get(res.status, "numerical-failure")
-    if status != "optimal":
-        raise SolverFailure(status, f"LP terminated with status {status}: {res.message}")
-    return float(res.fun), res.x
-
-
 def _merged_coefficients(dist: EmpiricalDistribution):
     """Distinct sorted values and per-value coefficients mean[(y - v) 1(v_i = v)]."""
     values, inverse = np.unique(dist.v, return_inverse=True)
     coef = np.bincount(inverse, weights=dist.residuals(), minlength=len(values)) / dist.n
     return values, coef
-
-
-def _lipschitz_chain(values: np.ndarray):
-    """Sparse A, b for |z_{i+1} - z_i| <= v_{i+1} - v_i on sorted values."""
-    d = len(values)
-    gaps = np.diff(values)
-    m = d - 1
-    rows = np.repeat(np.arange(2 * m), 2)
-    cols = np.empty(4 * m, dtype=np.int64)
-    data = np.empty(4 * m)
-    cols[0::4] = np.arange(m) + 1
-    cols[1::4] = np.arange(m)
-    data[0::4] = 1.0
-    data[1::4] = -1.0
-    cols[2::4] = np.arange(m) + 1
-    cols[3::4] = np.arange(m)
-    data[2::4] = -1.0
-    data[3::4] = 1.0
-    A = sp.csr_matrix((data, (rows, cols)), shape=(2 * m, d))
-    b = np.repeat(gaps, 2)  # rows 2i and 2i+1 both bound the i-th gap
-    return A, b
-
-
-def _clean_witness(values: list[float], z: list[float]) -> WeightVector:
-    # Repair rounding so the invariants hold exactly, including rounding of
-    # z[i-1] +- gap itself (hence the ulp walk).
-    z = [min(max(zi, -1.0), 1.0) for zi in z]
-    for i in range(1, len(z)):
-        gap = values[i] - values[i - 1]
-        zi = min(max(z[i], z[i - 1] - gap), z[i - 1] + gap)
-        while abs(zi - z[i - 1]) > gap:
-            zi = math.nextafter(zi, z[i - 1])
-        z[i] = zi
-    return WeightVector(values=tuple(values), z=tuple(z))
 
 
 def _chain_dp(values: np.ndarray, coef: np.ndarray):
@@ -200,40 +143,17 @@ def smce(dist: EmpiricalDistribution) -> tuple[float, WeightVector]:
     values, coef = _merged_coefficients(dist)
     z, _, _ = _chain_dp(values, coef)
     gaps = np.diff(values).tolist()
-    # Backwards from the last value, each weight is its peak clipped to the
-    # window that the next weight allows.
+    # Backwards from the last value, each weight is its peak clipped to [-1, 1]
+    # and to the window the next weight allows.  Both contain z[j+1], and
+    # z[j+1] +- gap is itself rounded, so a last ulp walk toward z[j+1] makes
+    # every step feasible in floating point, not only in exact arithmetic.
     z[-1] = min(max(z[-1], -1.0), 1.0)
     for j in range(len(z) - 2, -1, -1):
-        z[j] = min(max(z[j], z[j + 1] - gaps[j]), z[j + 1] + gaps[j])
-    witness = _clean_witness(values.tolist(), z)
+        nxt, gap = z[j + 1], gaps[j]
+        zj = min(max(z[j], -1.0, nxt - gap), 1.0, nxt + gap)
+        while abs(zj - nxt) > gap:
+            zj = math.nextafter(zj, nxt)
+        z[j] = zj
+    witness = WeightVector(values=tuple(values.tolist()), z=tuple(z))
     value = float(coef @ np.array(witness.z))
     return (value if value > 0.0 else 0.0), witness
-
-
-def smce_full_pairwise(dist: EmpiricalDistribution) -> float:
-    """The same maximization with all O(n^2) pairwise Lipschitz constraints.
-
-    One variable per sample, duplicates constrained equal through zero-width
-    pairs.  Kept as an oracle for the adjacent-constraint reduction; guarded
-    against quadratic blowup.
-    """
-    n = dist.n
-    if n > _FULL_PAIRWISE_CAP:
-        raise TooLarge(f"full pairwise program capped at n = {_FULL_PAIRWISE_CAP}, got {n}")
-    v = dist.v
-    coef = dist.residuals() / n
-    rows, cols, data, b = [], [], [], []
-    r = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(v[i] - v[j])
-            rows += [r, r, r + 1, r + 1]
-            cols += [i, j, i, j]
-            data += [1.0, -1.0, -1.0, 1.0]
-            b += [gap, gap]
-            r += 2
-    if r == 0:
-        return abs(float(coef.sum()))
-    A = sp.csr_matrix((data, (rows, cols)), shape=(r, n))
-    objective, _ = _run_lp(-coef, A_ub=A, b_ub=np.array(b), bounds=(-1.0, 1.0))
-    return max(-objective, 0.0)

@@ -14,6 +14,9 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from calibdist.core import EmpiricalDistribution, SeededRng
+from calibdist.errors import BadConfig, TooLarge
+
+_FULL_PAIRWISE_CAP = 500
 
 
 def kce2_direct(dist: EmpiricalDistribution, kind: str) -> float:
@@ -122,6 +125,16 @@ def intce_small_support(dist: EmpiricalDistribution) -> float:
     return float(best)
 
 
+def _highs_max(coef, A_ub, b_ub) -> float:
+    """max(coef @ z, 0) over z in [-1, 1]^d with A_ub z <= b_ub, solved by HiGHS."""
+    res = linprog(-coef, A_ub=A_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-9,
+                           "dual_feasibility_tolerance": 1e-9})
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
+    return max(-float(res.fun), 0.0)
+
+
 def smce_adjacent_lp(dist: EmpiricalDistribution) -> float:
     """Smooth calibration error as a HiGHS LP with adjacent Lipschitz rows.
 
@@ -136,13 +149,55 @@ def smce_adjacent_lp(dist: EmpiricalDistribution) -> float:
         return abs(float(coef[0]))
     diff = sp.diags([-np.ones(d - 1), np.ones(d - 1)], [0, 1], shape=(d - 1, d))
     gaps = np.diff(values)
-    res = linprog(-coef, A_ub=sp.vstack([diff, -diff]), b_ub=np.concatenate([gaps, gaps]),
-                  bounds=(-1.0, 1.0), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-9,
-                           "dual_feasibility_tolerance": 1e-9})
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
-    return max(-float(res.fun), 0.0)
+    return _highs_max(coef, sp.vstack([diff, -diff]), np.concatenate([gaps, gaps]))
+
+
+def smce_full_pairwise(dist: EmpiricalDistribution) -> float:
+    """Smooth calibration error with all O(n^2) pairwise Lipschitz constraints.
+
+    One variable per sample, duplicates constrained equal through zero-width
+    pairs: the oracle for the adjacent-constraint reduction, guarded against
+    quadratic blowup.
+    """
+    n = dist.n
+    if n > _FULL_PAIRWISE_CAP:
+        raise TooLarge(f"full pairwise program capped at n = {_FULL_PAIRWISE_CAP}, got {n}")
+    v = dist.v
+    coef = dist.residuals() / n
+    rows, cols, data, b = [], [], [], []
+    r = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = abs(v[i] - v[j])
+            rows += [r, r, r + 1, r + 1]
+            cols += [i, j, i, j]
+            data += [1.0, -1.0, -1.0, 1.0]
+            b += [gap, gap]
+            r += 2
+    if r == 0:
+        return abs(float(coef.sum()))
+    return _highs_max(coef, sp.csr_matrix((data, (rows, cols)), shape=(r, n)), np.array(b))
+
+
+def kernel_identity_check(d: float, reps: int, rng: SeededRng) -> tuple[float, float]:
+    """Monte Carlo check of the two Laplace-kernel identities at distance d.
+
+    Returns (mean of cos(omega d) for omega ~ Cauchy(1), probability that two
+    points at distance d share a bin under the Gamma(2,1)-width random
+    binning); both converge to exp(-d).  Draws come in batches of 2^16.
+    """
+    if d < 0:
+        raise BadConfig(f"distance must be nonnegative, got {d}")
+    cos_total = 0.0
+    bin_total = 0
+    for start in range(0, reps, 1 << 16):
+        b = min(1 << 16, reps - start)
+        omega = np.tan(np.pi * (rng.random(b) - 0.5))
+        cos_total += float(np.cos(omega * d).sum())
+        delta = -np.log(1.0 - rng.random(b)) - np.log(1.0 - rng.random(b))
+        tau = delta * rng.random(b)
+        bin_total += int(np.count_nonzero(d + tau < delta))
+    return cos_total / reps, bin_total / reps
 
 
 def random_distribution(rng: np.random.Generator, max_n: int = 200) -> EmpiricalDistribution:

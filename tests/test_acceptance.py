@@ -28,20 +28,18 @@ from calibdist import (
     gen_gauss_gap,
     induce_gamma_exact,
     kce_exact,
-    kernel_identity_check,
     ldce,
     ldce_both_forms,
     make_empirical,
     round_to_grid,
     sintce_hat,
     smce,
-    smce_full_pairwise,
     udce_bruteforce,
 )
 from calibdist.cli import main as cli_main
 from calibdist.kernel import _binning_draws, _canonical, _fourier_draws
 
-from _oracles import random_distribution
+from _oracles import kernel_identity_check, random_distribution, smce_full_pairwise
 
 EPS1 = EPS2 = 0.005
 SLACK = 3 * (EPS1 + EPS2) + 1e-6

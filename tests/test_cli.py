@@ -69,10 +69,14 @@ def test_measure_metric_streams_keyed_by_name(tmp_path):
         assert measure(name) == {name: entry}
 
 
-def test_import_leaves_cli_unloaded_and_module_run_warns_nothing(tmp_path):
+def _package_env():
     src = str(Path(calibdist.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_import_leaves_cli_unloaded_and_module_run_warns_nothing(tmp_path):
+    env = _package_env()
     probe = subprocess.run(
         [sys.executable, "-c", "import sys, calibdist; print('calibdist.cli' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
@@ -83,6 +87,65 @@ def test_import_leaves_cli_unloaded_and_module_run_warns_nothing(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert run.returncode == 2
     assert run.stderr.startswith("calib: parse error:")
+
+
+_SCIPY_PROBE = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import calibdist, calibdist.cli
+print(len(scipy_modules()))
+import numpy as np
+from calibdist import IntervalEstimatorConfig, KernelKind, SeededRng
+rng = np.random.default_rng(0)
+d = calibdist.EmpiricalDistribution(rng.random(300), rng.integers(0, 2, 300))
+calibdist.smce(d)
+calibdist.kce_exact(d, KernelKind.LAPLACE)
+calibdist.kce_exact(d, KernelKind.GAUSSIAN)
+calibdist.sintce_hat(d, IntervalEstimatorConfig(epsilon=0.1, rng=SeededRng(1)))
+calibdist.ece(d)
+print(len(scipy_modules()))
+calibdist.ldce(d)
+print("scipy.optimize" in scipy_modules())
+"""
+
+
+def test_import_and_numpy_metrics_load_no_scipy():
+    # scipy is loaded by the lower-distance LPs only; the last line checks
+    # that the probe would see it
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
+                         text=True, env=_package_env(), check=True)
+    assert run.stdout.split() == ["0", "0", "True"]
+
+
+def test_seed_outside_64_bits_is_a_flag_error(tmp_path, capsys):
+    src = tmp_path / "d.csv"
+    _write_csv(src, [(0.5, 1)])
+    for seed in ("-1", str(2**64)):
+        assert main(["measure", "--input", str(src), "--metrics", "ece", "--seed", seed]) == 1
+        assert main(["generate", "--family", "dbeta", "--n", "10", "--seed", seed]) == 1
+        assert main(["sweep", "--beta-grid", "1", "--n", "10", "--trials", "1",
+                     "--metrics", "ece", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"calib: error: seed must be an integer in [0, 2^64), got {seed}\n" * 3
+
+
+def test_measure_sintce_draw_cap_is_an_error_entry(tmp_path, capsys):
+    from calibdist.interval import default_shifts
+
+    src = tmp_path / "d.csv"
+    _write_csv(src, [(0.1, 0), (0.4, 1), (0.9, 1)])
+    for eps in (1e-20, 1e-4):
+        assert main(["measure", "--input", str(src), "--metrics", "sintce,ece",
+                     "--eps", str(eps)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        metrics = json.loads(captured.out)["metrics"]
+        assert metrics["sintce"]["error"].startswith(f"{default_shifts(eps)} shift draws per width")
+        assert "value" in metrics["ece"]
 
 
 def test_measure_all_on_calibrated_endpoints(tmp_path):

@@ -148,3 +148,12 @@ def test_seeded_rng_reproducible():
     assert np.array_equal(s1, s2)
     # different seeds diverge
     assert not np.array_equal(SeededRng(1).random(10), SeededRng(2).random(10))
+
+
+def test_seeded_rng_rejects_seeds_outside_64_bits():
+    from calibdist.errors import BadConfig
+
+    for seed in (-1, 2**64):
+        with pytest.raises(BadConfig, match="seed must be"):
+            SeededRng(seed)
+    assert SeededRng(2**64 - 1).seed == 2**64 - 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +8,7 @@ from calibdist import (
     BadWidth,
     IntervalEstimatorConfig,
     SeededRng,
+    TooLarge,
     gap_quadratic,
     induce_gamma_exact,
     make_empirical,
@@ -110,6 +113,24 @@ def test_estimator_config_validation():
     with pytest.raises(BadConfig):
         IntervalEstimatorConfig(epsilon=0.1, shifts_m=0)
     assert IntervalEstimatorConfig(epsilon=0.01).resolved_shifts() == default_shifts(0.01)
+
+
+def test_draw_count_guard_raises_before_allocating():
+    d = make_empirical([(0.2, 1), (0.7, 0)])
+    over = interval._MAX_DRAW_BYTES // 8 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=f"^{over} shift draws per width"):
+            rintce_hat(d, 0.5, over, SeededRng(0))
+        for eps in (1e-4, 1e-20):
+            with pytest.raises(TooLarge, match=f"^{default_shifts(eps)} shift draws"):
+                sintce_hat(d, IntervalEstimatorConfig(epsilon=eps))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the default accuracy stays far below the cap
+    assert 8 * default_shifts(0.01) < interval._MAX_DRAW_BYTES // 100
 
 
 def test_sintce_calibrated_floor():

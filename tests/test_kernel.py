@@ -18,14 +18,13 @@ from calibdist import (
     kce_estimate,
     kce_estimate_squared,
     kce_exact,
-    kernel_identity_check,
     make_empirical,
 )
 import calibdist
 from calibdist import kernel
 from calibdist.kernel import _binning_draws, _canonical, _fourier_draws
 
-from _oracles import kce2_direct, random_distribution
+from _oracles import kce2_direct, kernel_identity_check, random_distribution
 
 
 def test_kce_exact_examples():

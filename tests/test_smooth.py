@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from calibdist import TooLarge, WeightVector, make_empirical, smce, smce_full_pairwise
+from calibdist import TooLarge, WeightVector, make_empirical, smce
 from calibdist.smooth import _chain_dp, _merged_coefficients
 
-from _oracles import random_distribution, smce_adjacent_lp
+from _oracles import random_distribution, smce_adjacent_lp, smce_full_pairwise
 
 # Predictions on a 1e-6 grid, or drawn from a few values that force ties and
 # hit both ends of [0, 1].
@@ -168,16 +168,3 @@ def test_primal_dual_gap_certified_on_larger_instances():
         value, primal, dual = _certificate(random_distribution(rng, max_n=2000))
         assert value == max(primal, 0.0)
         assert abs(dual - primal) <= 1e-12
-
-
-def test_smce_runs_no_lp(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("smce must not call an LP solver")
-
-    monkeypatch.setattr("calibdist.smooth._run_lp", boom)
-    monkeypatch.setattr("calibdist.smooth.linprog", boom)
-    rng = np.random.default_rng(35)
-    for _ in range(20):
-        d = random_distribution(rng)
-        value, _ = smce(d)
-        assert value >= 0.0
