@@ -20,6 +20,7 @@ __version__ = "0.1.0"
 
 from .binning import IntervalPartition, binned_ece, ece, uniform_partition
 from .core import (
+    MAX_BINS,
     EmpiricalDistribution,
     ReliabilityBin,
     SeededRng,
@@ -85,7 +86,7 @@ from .smooth import WeightVector, smce
 __all__ = [
     "__version__",
     "EmpiricalDistribution", "ReliabilityBin", "SeededRng",
-    "make_empirical", "reliability_bins", "round_to_grid",
+    "MAX_BINS", "make_empirical", "reliability_bins", "round_to_grid",
     "IntervalPartition", "binned_ece", "ece", "uniform_partition",
     "IntervalEstimatorConfig", "rintce_exact", "rintce_hat", "sintce_exact", "sintce_hat",
     "WeightVector", "smce",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution
+from .core import EmpiricalDistribution, check_bins
 from .errors import BadBins
 
 __all__ = ["IntervalPartition", "ece", "binned_ece", "uniform_partition"]
@@ -53,9 +53,8 @@ class IntervalPartition:
 
 
 def uniform_partition(bins: int) -> IntervalPartition:
-    """Equal-width partition with boundaries {0, 1/bins, ..., 1}."""
-    if not isinstance(bins, int) or bins < 1:
-        raise BadBins(f"bins must be a positive integer, got {bins!r}")
+    """Equal-width partition with boundaries {0, 1/bins, ..., 1}; at most ``MAX_BINS`` bins."""
+    check_bins(bins)
     return IntervalPartition(tuple(i / bins for i in range(bins + 1)))
 
 
@@ -89,5 +88,6 @@ def binned_ece(
     value = float(np.abs(per_bin).sum() / dist.n)
     if width_penalty:
         mass = np.bincount(idx, minlength=part.m) / dist.n
-        value += float(mass @ part.widths())
+        # np.sum, not the BLAS dot mass @ widths, whose last bits follow the thread count
+        value += float(np.sum(mass * part.widths()))
     return value

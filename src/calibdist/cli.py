@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ import numpy as np
 from . import __version__
 from .binning import binned_ece, ece, uniform_partition
 from .core import EmpiricalDistribution, SeededRng, reliability_bins
-from .errors import CalibrationError, SolverFailure
+from .errors import BadConfig, CalibrationError, SolverFailure
 from .fixtures import (
     GaussGapConfig,
     SyntheticConfig,
@@ -89,6 +91,52 @@ def _read_samples(path: str) -> tuple[EmpiricalDistribution, str]:
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
+    parsed = _parse_fast(raw)
+    v, y = parsed if parsed is not None else _parse_lines(path, raw)
+    return EmpiricalDistribution(v, y), digest
+
+
+_HEADER = b"v,y\n"
+_BODY_BYTES = b"0123456789.eE+-,\n"
+
+
+def _parse_fast(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """(v, y) of a plain file, parsed by numpy; None for anything else.
+
+    A plain file is the exact header, then lines "<v>,0" or "<v>,1" made of
+    the bytes 0-9 . e E + - only, newline-terminated except perhaps the last,
+    with every v in [0, 1].  On such a file np.loadtxt gives the floats of
+    Python's float() bit for bit, so the values are those of the line scan,
+    which stays the reference and the only source of parse errors.
+    """
+    if not raw.startswith(_HEADER):
+        return None
+    body = raw[len(_HEADER):]
+    if not body or body.translate(None, _BODY_BYTES):
+        return None
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if body[-1:] != b"\n":
+        ends = np.append(ends, len(body))
+    # each line holds at least one byte of v, then ",0" or ",1", and no other comma
+    if (np.any(np.diff(ends, prepend=-1) < 4) or body.count(b",") != len(ends)
+            or np.any(buf[ends - 2] != ord(","))):
+        return None
+    labels = buf[ends - 1]
+    if np.any((labels != ord("0")) & (labels != ord("1"))):
+        return None
+    try:
+        v = np.loadtxt(io.BytesIO(body), delimiter=",", usecols=0, comments=None,
+                       quotechar=None, dtype=np.float64, ndmin=1)
+    except ValueError:
+        return None
+    if v.shape != ends.shape or not np.all((v >= 0.0) & (v <= 1.0)):
+        return None
+    return v, (labels - ord("0")).astype(np.int8)
+
+
+def _parse_lines(path: str, raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(v, y) by a scan of the decoded lines; raises ParseError naming the line."""
     text = raw.decode("utf-8", errors="replace")
     lines = text.splitlines()
     if not lines or lines[0].strip() != "v,y":
@@ -113,7 +161,7 @@ def _read_samples(path: str) -> tuple[EmpiricalDistribution, str]:
         ys.append(int(parts[1]))
     if not vs:
         raise ParseError(f"{path}: no samples")
-    return EmpiricalDistribution(np.array(vs), np.array(ys, dtype=np.int8)), digest
+    return np.array(vs), np.array(ys, dtype=np.int8)
 
 
 def _round_floats(obj, digits: int = 12):
@@ -260,9 +308,9 @@ def _parse_beta_grid(arg: str) -> list[float]:
     try:
         grid = [float(tok) for tok in arg.split(",") if tok.strip()]
     except ValueError:
-        raise CalibrationError(f"--beta-grid: cannot parse {arg!r} as comma-separated reals") from None
-    if not grid or any(b <= 0 for b in grid):
-        raise CalibrationError(f"--beta-grid: values must be positive reals, got {arg!r}")
+        raise BadConfig(f"--beta-grid: cannot parse {arg!r} as comma-separated reals") from None
+    if not grid or any(not (0 < b < math.inf) for b in grid):  # NaN fails both comparisons
+        raise BadConfig(f"--beta-grid: values must be positive reals, got {arg!r}")
     return grid
 
 
@@ -281,6 +329,8 @@ def _sweep_cell(task):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise CalibrationError(f"--jobs must be >= 1, got {args.jobs}")
     grid = _parse_beta_grid(args.beta_grid)
     metrics = _resolve_metrics(args.metrics)
     tasks = [

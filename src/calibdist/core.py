@@ -15,6 +15,7 @@ import numpy as np
 from .errors import BadBins, BadConfig, BadLabel, BadStep, EmptyInput, OutOfRange
 
 __all__ = [
+    "MAX_BINS",
     "EmpiricalDistribution",
     "SeededRng",
     "ReliabilityBin",
@@ -180,24 +181,41 @@ def round_to_grid(dist: EmpiricalDistribution, step: float) -> EmpiricalDistribu
     return EmpiricalDistribution(out, dist.y)
 
 
+# Bin counts above this are refused before anything is allocated: a partition
+# holds one Python float per boundary and a reliability summary one object per bin.
+MAX_BINS = 1_000_000
+
+
+def check_bins(bins: int) -> None:
+    """Raise BadBins unless bins is an integer in [1, MAX_BINS]."""
+    if not isinstance(bins, int) or bins < 1:
+        raise BadBins(f"bins must be a positive integer, got {bins!r}")
+    if bins > MAX_BINS:
+        raise BadBins(f"bins must be at most {MAX_BINS}, got {bins}")
+
+
 def reliability_bins(dist: EmpiricalDistribution, bins: int) -> list[ReliabilityBin]:
     """Equal-width reliability-diagram summary.
 
     Bins are [i/bins, (i+1)/bins), half-open, with the last bin closed at 1
-    so counts always sum to n.
+    so counts always sum to n.  At most ``MAX_BINS`` bins.
     """
-    if not isinstance(bins, int) or bins < 1:
-        raise BadBins(f"bins must be a positive integer, got {bins!r}")
+    check_bins(bins)
     idx = np.minimum((dist.v * bins).astype(np.int64), bins - 1)
+    # A stable sort lays each bin's samples out in input order, so a slice
+    # holds what a mask would select and its mean sums in the same order.
+    order = np.argsort(idx, kind="stable")
+    v, y = dist.v[order], dist.y[order]
     out: list[ReliabilityBin] = []
-    for b in range(bins):
-        mask = idx == b
-        count = int(mask.sum())
+    start = 0
+    for b, stop in enumerate(np.cumsum(np.bincount(idx, minlength=bins)).tolist()):
+        count = stop - start
         if count:
-            mean_v = float(dist.v[mask].mean())
-            mean_y = float(dist.y[mask].mean())
+            mean_v = float(v[start:stop].mean())
+            mean_y = float(y[start:stop].mean())
         else:
             mean_v = mean_y = None
         out.append(ReliabilityBin(lo=b / bins, hi=(b + 1) / bins, count=count,
                                   mean_v=mean_v, mean_y=mean_y))
+        start = stop
     return out

@@ -79,13 +79,15 @@ class FiniteProblem:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Inverse-temperature family: beta > 0, sample count, rng."""
+    """Inverse-temperature family: finite beta > 0, sample count, rng."""
 
     beta: float
     n: int
     rng: SeededRng
 
     def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise BadConfig(f"beta must be finite, got {self.beta}")
         if self.beta <= 0:
             raise BadConfig(f"beta must be positive, got {self.beta}")
         if self.n < 1:

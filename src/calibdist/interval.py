@@ -208,7 +208,8 @@ def rintce_exact(dist: EmpiricalDistribution, width: float) -> float:
     breaks, values = _shift_profile(dist, width)
     edges = np.concatenate([[0.0], breaks, [width]])
     lengths = np.diff(edges)  # n + 1 pieces, matching the n + 1 profile values
-    return float(values @ lengths / width)
+    # np.sum, not the BLAS dot values @ lengths, whose last bits follow the thread count
+    return float(np.sum(values * lengths) / width)
 
 
 def rintce_hat(

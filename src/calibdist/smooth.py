@@ -155,5 +155,6 @@ def smce(dist: EmpiricalDistribution) -> tuple[float, WeightVector]:
             zj = math.nextafter(zj, nxt)
         z[j] = zj
     witness = WeightVector(values=tuple(values.tolist()), z=tuple(z))
-    value = float(coef @ np.array(witness.z))
+    # np.sum, not the BLAS dot coef @ z, whose last bits follow the thread count
+    value = float(np.sum(coef * np.array(witness.z)))
     return (value if value > 0.0 else 0.0), witness

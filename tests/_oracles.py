@@ -8,12 +8,17 @@ implementations in the package are checked against a second route.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from calibdist.core import EmpiricalDistribution, SeededRng
+import calibdist
+from calibdist.core import EmpiricalDistribution, ReliabilityBin, SeededRng
 from calibdist.errors import BadConfig, TooLarge
 
 _FULL_PAIRWISE_CAP = 500
@@ -220,3 +225,44 @@ def random_distribution(rng: np.random.Generator, max_n: int = 200) -> Empirical
     else:
         y = rng.random(n) < rng.random()  # constant rate, arbitrary v
     return EmpiricalDistribution(v, y.astype(np.int8))
+
+
+def reliability_bins_masks(dist: EmpiricalDistribution, bins: int) -> list[ReliabilityBin]:
+    """Reliability bins by one boolean mask per bin, O(n * bins)."""
+    idx = np.minimum((dist.v * bins).astype(np.int64), bins - 1)
+    out = []
+    for b in range(bins):
+        mask = idx == b
+        count = int(mask.sum())
+        if count:
+            mean_v = float(dist.v[mask].mean())
+            mean_y = float(dist.y[mask].mean())
+        else:
+            mean_v = mean_y = None
+        out.append(ReliabilityBin(lo=b / bins, hi=(b + 1) / bins, count=count,
+                                  mean_v=mean_v, mean_y=mean_y))
+    return out
+
+
+def stdout_per_blas_threads(probe: str) -> list[str]:
+    """stdout of ``probe`` in a fresh interpreter under 1 and 2 OpenBLAS threads."""
+    src = str(Path(calibdist.__file__).resolve().parent.parent)
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, env=env, check=True)
+        bits.append(run.stdout.strip())
+    return bits
+
+
+# 2 * 10^5 full-precision rows: large enough for OpenBLAS to split a dot
+# product across two threads.
+BLAS_PROBE_DIST = (
+    "import numpy as np\n"
+    "from calibdist import EmpiricalDistribution\n"
+    "rng = np.random.default_rng(5)\n"
+    "v = rng.random(200_000)\n"
+    "d = EmpiricalDistribution(v, (rng.random(v.size) < v**1.3).astype(np.int8))\n"
+)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from calibdist import (
+    MAX_BINS,
     BadBins,
     IntervalPartition,
     binned_ece,
@@ -13,7 +14,7 @@ from calibdist import (
     uniform_partition,
 )
 
-from _oracles import random_distribution
+from _oracles import BLAS_PROBE_DIST, random_distribution, stdout_per_blas_threads
 
 
 def test_ece_examples():
@@ -109,3 +110,18 @@ def test_binned_with_penalty_dominates_upper_distance():
         for part in (uniform_partition(1), uniform_partition(2), uniform_partition(5),
                      uniform_partition(20)):
             assert binned_ece(d, part, width_penalty=True) >= u - 1e-9
+
+
+def test_width_penalty_bits_independent_of_blas_threads():
+    # The penalty was a BLAS dot of the bin masses and widths.
+    probe = (BLAS_PROBE_DIST + "from calibdist import binned_ece, uniform_partition\n"
+             "print(binned_ece(d, uniform_partition(100_000), width_penalty=True).hex())\n")
+    bits = stdout_per_blas_threads(probe)
+    assert bits[0] == bits[1]
+
+
+def test_uniform_partition_bins_cap():
+    assert uniform_partition(MAX_BINS).m == MAX_BINS
+    for bins in (MAX_BINS + 1, 10**11):
+        with pytest.raises(BadBins, match=f"at most {MAX_BINS}, got {bins}"):
+            uniform_partition(bins)

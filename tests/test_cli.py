@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,10 +6,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import calibdist
 from calibdist import SolverFailure
-from calibdist.cli import main
+from calibdist.cli import ParseError, _parse_lines, _read_samples, main
 
 
 def _write_csv(path, pairs):
@@ -327,3 +330,143 @@ def test_reliability_calibrated_bins(tmp_path):
         lo, hi, count, mean_v, mean_y = line.split(",")
         if int(count) >= 100:
             assert abs(float(mean_y) - float(mean_v)) <= 0.05
+
+
+def test_bins_above_cap_refused_before_allocating(tmp_path, capsys):
+    from calibdist import MAX_BINS
+
+    src = tmp_path / "d.csv"
+    _write_csv(src, [(0.1, 0), (0.9, 1)])
+    bins = str(10**11)
+    assert main(["measure", "--input", str(src), "--metrics", "binned-ece,binned-ece-w,ece",
+                 "--bins", bins]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    for name in ("binned-ece", "binned-ece-w"):
+        assert metrics[name]["error"] == f"bins must be at most {MAX_BINS}, got {bins}"
+    assert "value" in metrics["ece"]
+    assert main(["reliability", "--input", str(src), "--bins", bins]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"calib: error: bins must be at most {MAX_BINS}, got {bins}\n"
+
+
+def test_non_finite_beta_is_an_error(tmp_path, capsys):
+    for grid in ("nan", "inf", "1,nan", "-inf", "0.5,inf"):
+        assert main(["sweep", f"--beta-grid={grid}", "--n", "10", "--trials", "1",
+                     "--metrics", "ece"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"calib: error: --beta-grid: values must be positive reals, "
+                                f"got {grid!r}\n")
+    for beta in ("nan", "inf"):
+        out = tmp_path / "g.csv"
+        assert main(["generate", "--family", "dbeta", "--beta", beta, "--n", "10",
+                     "--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"calib: error: beta must be finite, got {beta}\n"
+
+
+def test_sweep_jobs_below_one_is_a_flag_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for jobs in ("0", "-2"):
+        assert main(["sweep", "--beta-grid", "1", "--n", "10", "--trials", "1",
+                     "--metrics", "ece", "--jobs", jobs, "--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"calib: error: --jobs must be >= 1, got {jobs}\n"
+
+
+# Fragments of input files for the differential test of the CSV reader: rows
+# the numpy path takes, and every near miss it must leave to the line scan.
+_V_PLAIN = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.integers(0, 1000).map(lambda k: f"{k / 1000:.3f}"),
+    st.sampled_from(["0", "1", "1.0", "0.5", ".5", "+.25", "5E-1", "1e-3", "-0.0",
+                     "1e-400", "0.000", "1.000"]),
+)
+_V_ODD = st.sampled_from(["0.2_5", "1e400", "-1e400", "nan", "inf", "-inf", " 0.5",
+                          "0.5 ", "", "1.5", "-0.1", "1.0000000000000002", "abc", "0..5",
+                          "1e", "e5", "1-5", "+", "é", "٠", "0x1p-1", "NaN"])
+_LABEL_ODD = st.sampled_from(["1.0", " 1", "1 ", "2", "", "-1", "0,1", "1,", "01", "١"])
+_END_ODD = st.sampled_from(["\r\n", "\r", "\x0b", "\x1c", " ", ",\n"])
+_HEADER_ODD = st.sampled_from(["v,y\r\n", "﻿v,y\n", "v,y", " v,y\n", "v,y \n",
+                               "x,y\n", "v;y\n", "V,Y\n", ""])
+_PLAIN_ROW = st.tuples(_V_PLAIN, st.sampled_from(["0", "1"])).map(lambda t: f"{t[0]},{t[1]}\n")
+_ODD_ROW = st.one_of(
+    st.tuples(st.one_of(_V_PLAIN, _V_ODD), st.one_of(st.sampled_from(["0", "1"]), _LABEL_ODD),
+              st.one_of(st.just("\n"), _END_ODD)).map(lambda t: f"{t[0]},{t[1]}{t[2]}"),
+    st.sampled_from(["\n", "  \n", "\t\n", "0.5\n", "0.5,1,1\n", ",\n", "0.5;1\n"]),
+)
+
+
+@st.composite
+def _csv_bytes(draw):
+    header = draw(st.one_of(st.just("v,y\n"), _HEADER_ODD))
+    plain = draw(st.booleans())
+    rows = draw(st.lists(_PLAIN_ROW if plain else st.one_of(_PLAIN_ROW, _ODD_ROW), max_size=8))
+    text = header + "".join(rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")  # no final newline
+    raw = text.encode("utf-8")
+    if draw(st.integers(0, 15)) == 0:
+        raw += b"\xff,1\n"  # not UTF-8
+    return raw
+
+
+def _reader_outcome(read, path):
+    try:
+        v, y, digest = read(path)
+    except ParseError as e:
+        return "error", str(e)
+    return [x.hex() for x in np.asarray(v).tolist()], np.asarray(y).tolist(), digest
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=_csv_bytes())
+@example(raw=b"v,y\n")
+@example(raw=b"v,y\n0.5,1")
+@example(raw=b"v,y\r\n0.5,1\r\n")
+@example(raw=b"\xef\xbb\xbfv,y\n0.5,1\n")
+@example(raw=b"v,y\n0.2_5,1\n")
+@example(raw=b"v,y\n1e400,1\n")
+@example(raw=b"v,y\n1e-400,0\n-0.0,1\n")
+@example(raw=b"v,y\n0.5,1\n\n0.25,0\n")
+@example(raw=b"v,y\n0.5,1,0\n")
+def test_read_samples_matches_line_scan(tmp_path, raw):
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
+
+    def fast(p):
+        dist, dg = _read_samples(p)
+        return dist.v, dist.y, dg
+
+    def scan(p):
+        return (*_parse_lines(p, raw), digest)
+
+    assert _reader_outcome(fast, str(path)) == _reader_outcome(scan, str(path))
+
+
+def test_plain_files_skip_the_line_scan(tmp_path, monkeypatch):
+    def no_scan(path, raw):
+        raise AssertionError(f"line scan of {path}")
+
+    gen = tmp_path / "gen.csv"
+    assert main(["generate", "--family", "dbeta", "--beta", "0.5", "--n", "3000",
+                 "--seed", "2", "--output", str(gen)]) == 0
+    rng = np.random.default_rng(12)
+    three = tmp_path / "three.csv"
+    three.write_text("v,y\n" + "".join(f"{v:.3f},{y}\n" for v, y in
+                                        zip(rng.random(3000), rng.integers(0, 2, 3000))))
+    expected = {p: _read_samples(str(p)) for p in (gen, three)}
+    monkeypatch.setattr("calibdist.cli._parse_lines", no_scan)
+    for path, (dist, digest) in expected.items():
+        assert _read_samples(str(path)) == (dist, digest)
+        report = tmp_path / "r.json"
+        assert main(["measure", "--input", str(path), "--metrics", "ece,smce",
+                     "--output", str(report)]) == 0
+        assert json.loads(report.read_text())["n"] == 3000
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(b"v,y\r\n0.5,1\r\n")
+    with pytest.raises(AssertionError, match="line scan"):
+        _read_samples(str(crlf))

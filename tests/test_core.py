@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from calibdist import (
+    MAX_BINS,
     BadBins,
     BadLabel,
     BadStep,
@@ -13,6 +14,8 @@ from calibdist import (
     reliability_bins,
     round_to_grid,
 )
+
+from _oracles import random_distribution, reliability_bins_masks
 
 
 def test_make_empirical_minimal():
@@ -133,6 +136,28 @@ def test_reliability_bins_bad_bins():
     d = make_empirical([(0.5, 1)])
     with pytest.raises(BadBins):
         reliability_bins(d, 0)
+
+
+def test_reliability_bins_cap():
+    d = make_empirical([(0.5, 1), (1.0, 0)])
+    out = reliability_bins(d, MAX_BINS)
+    assert len(out) == MAX_BINS and sum(b.count for b in out) == 2
+    for bins in (MAX_BINS + 1, 10**11):
+        with pytest.raises(BadBins, match=f"at most {MAX_BINS}, got {bins}"):
+            reliability_bins(d, bins)
+
+
+def test_reliability_bins_match_masks_bitwise():
+    def fields(bins):
+        return [(b.lo, b.hi, b.count,
+                 None if b.mean_v is None else b.mean_v.hex(),
+                 None if b.mean_y is None else b.mean_y.hex()) for b in bins]
+
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        d = random_distribution(rng, max_n=3000)
+        for bins in (1, 2, 7, 20, 1000):
+            assert fields(reliability_bins(d, bins)) == fields(reliability_bins_masks(d, bins))
 
 
 def test_seeded_rng_reproducible():

@@ -20,7 +20,8 @@ from calibdist import (
 from calibdist import interval
 from calibdist.interval import _PieceLookup, _shift_profile, default_shifts, width_exponent
 
-from _oracles import random_distribution, rintce_hat_search, rintce_mc_direct, shift_profile_loop
+from _oracles import (BLAS_PROBE_DIST, random_distribution, rintce_hat_search, rintce_mc_direct,
+                      shift_profile_loop, stdout_per_blas_threads)
 
 # Predictions on a 1e-3 grid (ties, as in quantized files), on a 1e-6 grid,
 # or drawn from a few values that hit both ends of [0, 1].
@@ -279,3 +280,11 @@ def test_exact_interval_errors_invariant_under_permutation_and_repetition(
         c = make_empirical(changed)
         assert abs(rintce_exact(c, width) - rint) <= 1e-12
         assert abs(sintce_exact(c, 0.05) - sint) <= 1e-12
+
+
+def test_rintce_exact_bits_independent_of_blas_threads():
+    # The value was a BLAS dot of the profile values and piece lengths.
+    probe = (BLAS_PROBE_DIST
+             + "from calibdist import rintce_exact\nprint(rintce_exact(d, 2**-7).hex())\n")
+    bits = stdout_per_blas_threads(probe)
+    assert bits[0] == bits[1]

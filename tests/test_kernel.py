@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +16,11 @@ from calibdist import (
     kce_exact,
     make_empirical,
 )
-import calibdist
 from calibdist import kernel
 from calibdist.kernel import _binning_draws, _canonical, _fourier_draws
 
-from _oracles import kce2_direct, kernel_identity_check, random_distribution
+from _oracles import (kce2_direct, kernel_identity_check, random_distribution,
+                      stdout_per_blas_threads)
 
 
 def test_kce_exact_examples():
@@ -196,19 +192,6 @@ def test_binning_chunks_are_bitwise_identical(monkeypatch):
         assert chunked.tobytes() == whole.tobytes()
 
 
-def _stdout_per_blas_threads(probe):
-    """stdout of ``probe`` in a fresh interpreter under 1 and 2 OpenBLAS threads."""
-    src = str(Path(calibdist.__file__).resolve().parent.parent)
-    bits = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             text=True, env=env, check=True)
-        bits.append(run.stdout.strip())
-    return bits
-
-
 def test_fourier_chunks_are_bitwise_identical(monkeypatch):
     rng = np.random.default_rng(37)
     for max_n in (60, 2000):
@@ -233,7 +216,7 @@ def test_gaussian_kce_bits_independent_of_blas_threads():
         "d = EmpiricalDistribution(v, (rng.random(v.size) < v**1.3).astype(np.int8))\n"
         "print(kce_exact(d, KernelKind.GAUSSIAN).hex())\n"
     )
-    bits = _stdout_per_blas_threads(probe)
+    bits = stdout_per_blas_threads(probe)
     assert bits[0] == bits[1]
 
 
@@ -254,5 +237,5 @@ def test_laplace_kce_bits_independent_of_blas_threads(value):
         "d = EmpiricalDistribution(v, (rng.random(v.size) < v).astype(np.int8))\n"
         f"print(({value}).hex())\n"
     )
-    bits = _stdout_per_blas_threads(probe)
+    bits = stdout_per_blas_threads(probe)
     assert bits[0] == bits[1]

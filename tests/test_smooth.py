@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from calibdist import TooLarge, WeightVector, make_empirical, smce
 from calibdist.smooth import _chain_dp, _merged_coefficients
 
-from _oracles import random_distribution, smce_adjacent_lp, smce_full_pairwise
+from _oracles import (BLAS_PROBE_DIST, random_distribution, smce_adjacent_lp,
+                      smce_full_pairwise, stdout_per_blas_threads)
 
 # Predictions on a 1e-6 grid, or drawn from a few values that force ties and
 # hit both ends of [0, 1].
@@ -141,7 +142,7 @@ def _certificate(d):
     """smce's value, its witness objective, and the dual path's objective."""
     values, coef = _merged_coefficients(d)
     value, w = smce(d)
-    primal = float(coef @ np.array(w.z))
+    primal = float(np.sum(coef * np.array(w.z)))
     _, lo, hi = _chain_dp(values, coef)
     prefix = np.cumsum(coef)
     # dual path: A_d = S_d, A_{j-1} = clip(A_j, lo_j, hi_j), A_0 = 0
@@ -168,3 +169,11 @@ def test_primal_dual_gap_certified_on_larger_instances():
         value, primal, dual = _certificate(random_distribution(rng, max_n=2000))
         assert value == max(primal, 0.0)
         assert abs(dual - primal) <= 1e-12
+
+
+def test_smce_bits_independent_of_blas_threads():
+    # The value was a BLAS dot coef @ z, which OpenBLAS splits across threads
+    # at this support size, moving its last bits.
+    probe = BLAS_PROBE_DIST + "from calibdist import smce\nprint(smce(d)[0].hex())\n"
+    bits = stdout_per_blas_threads(probe)
+    assert bits[0] == bits[1]
