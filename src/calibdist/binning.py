@@ -1,6 +1,6 @@
 """Expected calibration error and binned variants over interval partitions.
 
-ECE groups samples by exact (bitwise) equality of the prediction, so it is
+ECE groups samples by exact equality of the prediction, so it is
 meaningful only for predictors with repeated values; the binned variants are
 what one computes for continuous-valued predictors.  Adding the mass-weighted
 average bin width to the binned error turns it into an upper bound on the
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, check_bins
+from .core import EmpiricalDistribution, check_bins, sorted_pairs
 from .errors import BadBins
 
 __all__ = ["IntervalPartition", "ece", "binned_ece", "uniform_partition"]
@@ -61,12 +61,15 @@ def uniform_partition(bins: int) -> IntervalPartition:
 def ece(dist: EmpiricalDistribution) -> float:
     """Expected calibration error: sum over distinct v of p(v) |mean_y(v) - v|.
 
-    Distinctness is bitwise equality of the stored float64 predictions.
+    Distinctness is bitwise equality of the stored float64 predictions,
+    except that -0.0 and 0.0 count as one value.
     """
-    values, inverse = np.unique(dist.v, return_inverse=True)
-    counts = np.bincount(inverse, minlength=len(values))
-    ysum = np.bincount(inverse, weights=dist.y.astype(float), minlength=len(values))
-    mean_y = ysum / counts
+    v, y = sorted_pairs(dist)
+    heads = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    values = v[heads]
+    counts = np.diff(heads, append=dist.n)
+    # sums of 0.0/1.0 labels are exact integers in any order
+    mean_y = np.add.reduceat(y, heads) / counts
     return float(np.sum(counts * np.abs(mean_y - values)) / dist.n)
 
 

@@ -91,7 +91,8 @@ def _read_samples(path: str) -> tuple[EmpiricalDistribution, str]:
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-    parsed = _parse_fast(raw)
+    # the line scan reads CRLF as LF, so a CRLF file is plain once folded
+    parsed = _parse_fast(raw.replace(b"\r\n", b"\n"))
     v, y = parsed if parsed is not None else _parse_lines(path, raw)
     return EmpiricalDistribution(v, y), digest
 

@@ -181,6 +181,28 @@ def round_to_grid(dist: EmpiricalDistribution, step: float) -> EmpiricalDistribu
     return EmpiricalDistribution(out, dist.y)
 
 
+def sorted_pairs(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(v, y) in (v, y)-lexicographic order, y as float64 0.0/1.0.
+
+    Each pair is packed into one uint64 key, the bits of v shifted left by
+    one with y in the low bit, and the keys go through one unstable sort.
+    This is exact: every v lies in [0, 1], where the bit patterns of
+    non-negative floats sort as the floats do and 1.0's is below 2^62, so
+    the shift loses no bit of any v but the sign bit, which only -0.0
+    carries there; -0.0 therefore packs as 0.0.  Equal keys are identical
+    pairs, so the order among them cannot show.  The result equals the
+    lexsort gather ``v[order], y[order]`` with ``order = np.lexsort((y, v))``
+    once -0.0 is folded into 0.0.
+    """
+    key = dist.v.view(np.uint64) << 1
+    key |= dist.y.view(np.uint8)
+    key.sort()
+    y = np.empty(key.shape)
+    np.bitwise_and(key, 1, out=y)
+    key >>= 1
+    return key.view(np.float64), y
+
+
 # Bin counts above this are refused before anything is allocated: a partition
 # holds one Python float per boundary and a reliability summary one object per bin.
 MAX_BINS = 1_000_000

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EmpiricalDistribution, SeededRng
+from .core import EmpiricalDistribution, SeededRng, sorted_pairs
 from .errors import BadConfig, ModeKindMismatch, TooLarge
 
 __all__ = [
@@ -90,10 +90,9 @@ def default_reps(target_eps: float = 0.1) -> int:
 def _canonical(dist: EmpiricalDistribution):
     # (v, y)-lexicographic order makes the result invariant to permutations
     # of the input, bit for bit.
-    order = np.lexsort((dist.y, dist.v))
-    v = dist.v[order]
-    r = dist.residuals()[order]
-    return v, r
+    v, y = sorted_pairs(dist)
+    y -= v  # in place: the residuals r = y - v
+    return v, y
 
 
 def _kce2_laplace(v: np.ndarray, r: np.ndarray) -> float:
@@ -107,12 +106,13 @@ def _kce2_gaussian(v: np.ndarray, r: np.ndarray) -> float:
     w = r * np.exp(-v * v)
     total = 0.0
     vk = np.ones_like(v)
+    buf = np.empty_like(v)
     for k in range(_GAUSS_SERIES_TERMS):
         # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits a long dot
         # product across its threads, so its last bits followed the thread count
-        sk = float(np.sum(w * vk))
+        sk = float(np.sum(np.multiply(w, vk, out=buf)))
         total += 2**k / math.factorial(k) * sk * sk  # int / int: correctly rounded
-        vk = vk * v
+        np.multiply(vk, v, out=vk)
     return total / len(v) ** 2
 
 

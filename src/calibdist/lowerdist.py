@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, round_to_grid
+from .core import EmpiricalDistribution, round_to_grid, sorted_pairs
 from .errors import BadEps, SolverFailure
 
 __all__ = [
@@ -140,16 +140,13 @@ def _discretize(dist: EmpiricalDistribution, eps1: float, eps2: float):
     rounded = round_to_grid(dist, eps1)
     # group identical (v, y) pairs without arithmetic on v so the support
     # values stay bitwise equal to grid points
-    order = np.lexsort((rounded.y, rounded.v))
-    vs = rounded.v[order]
-    ys = rounded.y[order].astype(np.int64)
-    new = np.ones(rounded.n, dtype=bool)
-    new[1:] = (vs[1:] != vs[:-1]) | (ys[1:] != ys[:-1])
-    group = np.cumsum(new) - 1
-    support_v = vs[new]
-    support_y = ys[new]
-    gamma = np.bincount(group) / rounded.n
-    grid = refine_grid(np.unique(rounded.v), eps2)
+    vs, ys = sorted_pairs(rounded)
+    new_v = np.concatenate(([True], vs[1:] != vs[:-1]))
+    heads = np.flatnonzero(np.concatenate(([True], new_v[1:] | (ys[1:] != ys[:-1]))))
+    support_v = vs[heads]
+    support_y = ys[heads].astype(np.int64)
+    gamma = np.diff(heads, append=rounded.n) / rounded.n
+    grid = refine_grid(vs[new_v], eps2)  # the distinct rounded values, sorted
     return np.asarray(grid.points), support_v, support_y, gamma
 
 

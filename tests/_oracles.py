@@ -8,6 +8,7 @@ implementations in the package are checked against a second route.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -18,8 +19,9 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import calibdist
-from calibdist.core import EmpiricalDistribution, ReliabilityBin, SeededRng
+from calibdist.core import EmpiricalDistribution, ReliabilityBin, SeededRng, round_to_grid
 from calibdist.errors import BadConfig, TooLarge
+from calibdist.lowerdist import refine_grid
 
 _FULL_PAIRWISE_CAP = 500
 
@@ -266,3 +268,57 @@ BLAS_PROBE_DIST = (
     "v = rng.random(200_000)\n"
     "d = EmpiricalDistribution(v, (rng.random(v.size) < v**1.3).astype(np.int8))\n"
 )
+
+
+def sorted_pairs_lexsort(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(v, y) gathered by ``np.lexsort((y, v))``, -0.0 folded into 0.0, y as float64."""
+    order = np.lexsort((dist.y, dist.v))
+    return dist.v[order] + 0.0, dist.y[order].astype(np.float64)
+
+
+def kce_exact_lexsort(dist: EmpiricalDistribution, kind: str) -> float:
+    """``kce_exact`` on a lexsort gather, the Gaussian series with fresh arrays per term.
+
+    The packed-key sort and the in-place series in ``calibdist.kernel`` must
+    return these bits.
+    """
+    order = np.lexsort((dist.y, dist.v))
+    v = dist.v[order]
+    r = dist.residuals()[order]
+    if kind == "laplace":
+        prefix = np.cumsum(r * np.exp(v))
+        s = float(np.sum(r * np.exp(-v) * prefix))
+        sq = (2.0 * s - float(np.sum(r * r))) / len(v) ** 2
+    else:
+        w = r * np.exp(-v * v)
+        total = 0.0
+        vk = np.ones_like(v)
+        for k in range(48):
+            sk = float(np.sum(w * vk))
+            total += 2**k / math.factorial(k) * sk * sk
+            vk = vk * v
+        sq = total / len(v) ** 2
+    return math.sqrt(max(sq, 0.0))
+
+
+def discretize_lexsort(dist: EmpiricalDistribution, eps1: float, eps2: float):
+    """``lowerdist._discretize`` by a lexsort gather, a cumsum group id and ``np.unique``."""
+    rounded = round_to_grid(dist, eps1)
+    order = np.lexsort((rounded.y, rounded.v))
+    vs = rounded.v[order]
+    ys = rounded.y[order].astype(np.int64)
+    new = np.ones(rounded.n, dtype=bool)
+    new[1:] = (vs[1:] != vs[:-1]) | (ys[1:] != ys[:-1])
+    group = np.cumsum(new) - 1
+    gamma = np.bincount(group) / rounded.n
+    grid = refine_grid(np.unique(rounded.v), eps2)
+    return np.asarray(grid.points), vs[new], ys[new], gamma
+
+
+def ece_unique(dist: EmpiricalDistribution) -> float:
+    """ECE grouped by ``np.unique(v, return_inverse=True)`` and two bincounts."""
+    values, inverse = np.unique(dist.v, return_inverse=True)
+    counts = np.bincount(inverse, minlength=len(values))
+    ysum = np.bincount(inverse, weights=dist.y.astype(float), minlength=len(values))
+    mean_y = ysum / counts
+    return float(np.sum(counts * np.abs(mean_y - values)) / dist.n)

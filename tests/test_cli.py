@@ -458,7 +458,9 @@ def test_plain_files_skip_the_line_scan(tmp_path, monkeypatch):
     three = tmp_path / "three.csv"
     three.write_text("v,y\n" + "".join(f"{v:.3f},{y}\n" for v, y in
                                         zip(rng.random(3000), rng.integers(0, 2, 3000))))
-    expected = {p: _read_samples(str(p)) for p in (gen, three)}
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(three.read_bytes().replace(b"\n", b"\r\n"))
+    expected = {p: _read_samples(str(p)) for p in (gen, three, crlf)}
     monkeypatch.setattr("calibdist.cli._parse_lines", no_scan)
     for path, (dist, digest) in expected.items():
         assert _read_samples(str(path)) == (dist, digest)
@@ -466,7 +468,9 @@ def test_plain_files_skip_the_line_scan(tmp_path, monkeypatch):
         assert main(["measure", "--input", str(path), "--metrics", "ece,smce",
                      "--output", str(report)]) == 0
         assert json.loads(report.read_text())["n"] == 3000
-    crlf = tmp_path / "crlf.csv"
-    crlf.write_bytes(b"v,y\r\n0.5,1\r\n")
+    assert expected[crlf][0] == expected[three][0]
+    assert expected[crlf][1] != expected[three][1]  # the digest is of the file's own bytes
+    stray = tmp_path / "stray.csv"
+    stray.write_bytes(b"v,y\r\n0.5,1\r")
     with pytest.raises(AssertionError, match="line scan"):
-        _read_samples(str(crlf))
+        _read_samples(str(stray))
