@@ -3,17 +3,18 @@
 Measures operate on an :class:`~calibdist.core.EmpiricalDistribution` of
 (prediction, label) samples: expected calibration error and binned variants,
 the surrogate interval calibration error, smooth calibration by an exact
-O(d log d) dynamic program, the lower distance to calibration via
-primal/dual transport LPs, and Laplace/Gaussian kernel calibration error
-with exact and randomized estimators.  ``calibdist.fixtures`` carries the
-adversarial constructions and brute-force oracles used to certify the
+O(d log d) dynamic program, the lower distance to calibration via the dual
+of a discretized transport LP, and Laplace/Gaussian kernel calibration
+error with exact and randomized estimators.  ``calibdist.fixtures`` carries
+the adversarial constructions and brute-force oracles used to certify the
 inequalities between the measures.
 
 Importing the package loads numpy but no scipy module.  scipy is loaded on
-first use by the two routines that need it: the lower-distance LPs
-(``calibdist.lowerdist`` owns the HiGHS calls) and the dbeta family's
-logistic map.  The general LPs for smooth calibration and the Monte Carlo
-kernel identity check are test oracles and live with the tests.
+first use by the two routines that need it: the lower-distance LP
+(``calibdist.lowerdist`` owns the HiGHS call) and the dbeta family's
+logistic map.  The general LPs for smooth calibration, the primal coupling
+LP for the lower distance and the Monte Carlo kernel identity check are test
+oracles and live with the tests.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +23,7 @@ from .binning import IntervalPartition, binned_ece, ece, uniform_partition
 from .core import (
     MAX_BINS,
     EmpiricalDistribution,
-    ReliabilityBin,
+    ReliabilityColumns,
     SeededRng,
     make_empirical,
     reliability_bins,
@@ -72,26 +73,17 @@ from .kernel import (
     kce_estimate_squared,
     kce_exact,
 )
-from .lowerdist import (
-    CouplingSolution,
-    DualSolution,
-    Grid,
-    ldce,
-    ldce_both_forms,
-    ldce_dual_solution,
-    ldce_primal_solution,
-)
+from .lowerdist import DualSolution, Grid, ldce, ldce_dual_solution
 from .smooth import WeightVector, smce
 
 __all__ = [
     "__version__",
-    "EmpiricalDistribution", "ReliabilityBin", "SeededRng",
+    "EmpiricalDistribution", "ReliabilityColumns", "SeededRng",
     "MAX_BINS", "make_empirical", "reliability_bins", "round_to_grid",
     "IntervalPartition", "binned_ece", "ece", "uniform_partition",
     "IntervalEstimatorConfig", "rintce_exact", "rintce_hat", "sintce_exact", "sintce_hat",
     "WeightVector", "smce",
-    "CouplingSolution", "DualSolution", "Grid",
-    "ldce", "ldce_both_forms", "ldce_dual_solution", "ldce_primal_solution",
+    "DualSolution", "Grid", "ldce", "ldce_dual_solution",
     "KernelEstimatorConfig", "KernelKind",
     "kce_estimate", "kce_estimate_squared", "kce_exact",
     "FiniteProblem", "GaussGapConfig", "SyntheticConfig",

@@ -13,49 +13,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, check_bins, sorted_pairs
+from .core import EmpiricalDistribution, check_bins, readonly, sorted_pairs
 from .errors import BadBins
 
 __all__ = ["IntervalPartition", "ece", "binned_ece", "uniform_partition"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalPartition:
     """Ordered disjoint intervals covering [0, 1].
 
-    ``boundaries`` are strictly increasing with first 0 and last 1; interval j
-    is [b_j, b_{j+1}), the last one closed at 1.
+    ``boundaries`` (a read-only float64 array) are strictly increasing with
+    first 0 and last 1; interval j is [b_j, b_{j+1}), the last one closed at 1.
     """
 
-    boundaries: tuple[float, ...]
+    boundaries: np.ndarray
 
     def __post_init__(self):
-        b = self.boundaries
-        if len(b) < 2:
+        b = readonly(self.boundaries)
+        object.__setattr__(self, "boundaries", b)
+        if b.ndim != 1 or b.size < 2:
             raise BadBins("a partition needs at least two boundaries")
-        if b[0] != 0.0 or b[-1] != 1.0:
+        if not (b[0] == 0.0 and b[-1] == 1.0):
             raise BadBins(f"boundaries must start at 0 and end at 1, got [{b[0]}, {b[-1]}]")
-        if any(l >= r for l, r in zip(b[:-1], b[1:])):
+        if not np.all(b[1:] > b[:-1]):
             raise BadBins("boundaries must be strictly increasing")
 
     @property
     def m(self) -> int:
-        return len(self.boundaries) - 1
+        return self.boundaries.size - 1
 
     def widths(self) -> np.ndarray:
-        return np.diff(np.asarray(self.boundaries))
+        return np.diff(self.boundaries)
 
     def bin_index(self, v: np.ndarray) -> np.ndarray:
         """Index of the interval containing each v; 1.0 lands in the last one."""
-        b = np.asarray(self.boundaries)
-        idx = np.searchsorted(b, v, side="right") - 1
+        idx = np.searchsorted(self.boundaries, v, side="right") - 1
         return np.minimum(idx, self.m - 1)
 
 
 def uniform_partition(bins: int) -> IntervalPartition:
     """Equal-width partition with boundaries {0, 1/bins, ..., 1}; at most ``MAX_BINS`` bins."""
-    check_bins(bins)
-    return IntervalPartition(tuple(i / bins for i in range(bins + 1)))
+    bins = check_bins(bins)
+    return IntervalPartition(np.arange(bins + 1) / bins)
 
 
 def ece(dist: EmpiricalDistribution) -> float:

@@ -207,7 +207,7 @@ def _compute_metric(name: str, dist: EmpiricalDistribution, args, seed_root: See
         entry["value"] = value
         entry["config"] = {}
     elif name == "ldce":
-        entry["value"] = ldce(dist, LDCE_EPS1, LDCE_EPS2, form="dual")
+        entry["value"] = ldce(dist, LDCE_EPS1, LDCE_EPS2)
         entry["config"] = {"eps1": LDCE_EPS1, "eps2": LDCE_EPS2, "form": "dual"}
         entry["caveats"].append(
             f"discretization slack <= {LDCE_EPS1 + 2 * LDCE_EPS2:g}; "
@@ -357,10 +357,9 @@ def cmd_reliability(args) -> int:
         raise CalibrationError(f"--bins must be >= 1, got {args.bins}")
     dist, _ = _read_samples(args.input)
     rows = ["lo,hi,count,mean_v,mean_y"]
-    for b in reliability_bins(dist, args.bins):
-        mv = "" if b.mean_v is None else f"{b.mean_v:.12g}"
-        my = "" if b.mean_y is None else f"{b.mean_y:.12g}"
-        rows.append(f"{b.lo:.12g},{b.hi:.12g},{b.count},{mv},{my}")
+    for lo, hi, count, mv, my in zip(*(c.tolist() for c in reliability_bins(dist, args.bins))):
+        means = f"{mv:.12g},{my:.12g}" if count else ","  # an empty bin has no means
+        rows.append(f"{lo:.12g},{hi:.12g},{count},{means}")
     _write_text(args.output, "\n".join(rows) + "\n")
     return 0
 

@@ -7,8 +7,8 @@ Everything here is immutable after construction and pure given an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import operator
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ __all__ = [
     "MAX_BINS",
     "EmpiricalDistribution",
     "SeededRng",
-    "ReliabilityBin",
+    "ReliabilityColumns",
     "make_empirical",
     "round_to_grid",
     "reliability_bins",
@@ -128,28 +128,6 @@ class SeededRng:
         return f"SeededRng(seed={self.seed}, keys={self._keys})"
 
 
-@dataclass(frozen=True)
-class ReliabilityBin:
-    """Aggregates of one reliability-diagram bin.
-
-    mean_v / mean_y are None when the bin is empty.
-    """
-
-    lo: float
-    hi: float
-    count: int
-    mean_v: float | None
-    mean_y: float | None
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise BadBins(f"bin bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if self.count < 0:
-            raise BadBins("bin count must be nonnegative")
-        if self.count == 0 and (self.mean_v is not None or self.mean_y is not None):
-            raise BadBins("means must be undefined for an empty bin")
-
-
 def make_empirical(pairs: Iterable[tuple[float, int]] | Sequence) -> EmpiricalDistribution:
     """Validate a list of (prediction, label) pairs into a distribution.
 
@@ -203,41 +181,69 @@ def sorted_pairs(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
     return key.view(np.float64), y
 
 
-# Bin counts above this are refused before anything is allocated: a partition
-# holds one Python float per boundary and a reliability summary one object per bin.
+def readonly(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``."""
+    out = np.array(values, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+# Bin counts above this are refused before anything is allocated: a size
+# guard on the partition and reliability arrays, O(bins) each.
 MAX_BINS = 1_000_000
 
 
-def check_bins(bins: int) -> None:
-    """Raise BadBins unless bins is an integer in [1, MAX_BINS]."""
-    if not isinstance(bins, int) or bins < 1:
+def check_bins(bins) -> int:
+    """bins as an int; raises BadBins unless it is an integer in [1, MAX_BINS]."""
+    try:
+        count = operator.index(bins)
+    except TypeError:
+        count = 0
+    if count < 1:
         raise BadBins(f"bins must be a positive integer, got {bins!r}")
-    if bins > MAX_BINS:
-        raise BadBins(f"bins must be at most {MAX_BINS}, got {bins}")
+    if count > MAX_BINS:
+        raise BadBins(f"bins must be at most {MAX_BINS}, got {count}")
+    return count
 
 
-def reliability_bins(dist: EmpiricalDistribution, bins: int) -> list[ReliabilityBin]:
+class ReliabilityColumns(NamedTuple):
+    """Reliability-diagram summary: one read-only array per field, one entry per bin.
+
+    Bin b is [lo[b], hi[b]); mean_v and mean_y are NaN where count is 0.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    count: np.ndarray
+    mean_v: np.ndarray
+    mean_y: np.ndarray
+
+
+def reliability_bins(dist: EmpiricalDistribution, bins: int) -> ReliabilityColumns:
     """Equal-width reliability-diagram summary.
 
     Bins are [i/bins, (i+1)/bins), half-open, with the last bin closed at 1
-    so counts always sum to n.  At most ``MAX_BINS`` bins.
+    so counts always sum to n.  At most ``MAX_BINS`` bins.  Each mean is the
+    slice ``.mean()`` of the bin's samples in input order, bit for bit.
     """
-    check_bins(bins)
+    bins = check_bins(bins)
     idx = np.minimum((dist.v * bins).astype(np.int64), bins - 1)
-    # A stable sort lays each bin's samples out in input order, so a slice
-    # holds what a mask would select and its mean sums in the same order.
-    order = np.argsort(idx, kind="stable")
-    v, y = dist.v[order], dist.y[order]
-    out: list[ReliabilityBin] = []
-    start = 0
-    for b, stop in enumerate(np.cumsum(np.bincount(idx, minlength=bins)).tolist()):
-        count = stop - start
-        if count:
-            mean_v = float(v[start:stop].mean())
-            mean_y = float(y[start:stop].mean())
-        else:
-            mean_v = mean_y = None
-        out.append(ReliabilityBin(lo=b / bins, hi=(b + 1) / bins, count=count,
-                                  mean_v=mean_v, mean_y=mean_y))
-        start = stop
+    # A stable sort lays each bin's samples out in input order as one slice.
+    v = dist.v[np.argsort(idx, kind="stable")]
+    count = np.bincount(idx, minlength=bins)
+    start = np.cumsum(count) - count
+    # The bins of one count L are summed as the rows of one gathered (k, L)
+    # matrix, which adds each row as .sum() adds a slice of length L;
+    # np.add.reduceat adds in sequence and would change the bits.
+    sum_v = np.zeros(bins)
+    by_count = np.argsort(count, kind="stable")
+    lengths, firsts = np.unique(count[by_count], return_index=True)
+    for length, rows in zip(lengths.tolist(), np.split(by_count, firsts[1:])):
+        sum_v[rows] = v[start[rows, None] + np.arange(length)].sum(axis=1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 is the NaN of an empty bin
+        out = ReliabilityColumns(np.arange(bins) / bins, np.arange(1, bins + 1) / bins, count,
+                                 sum_v / count,
+                                 np.bincount(idx, weights=dist.y, minlength=bins) / count)
+    for column in out:
+        column.setflags(write=False)
     return out

@@ -1,4 +1,4 @@
-"""Lower distance to calibration via discretized linear programs.
+"""Lower distance to calibration via a discretized linear program.
 
 The lower distance is the cheapest coupling between the observed
 prediction-label distribution and any perfectly calibrated one.  After
@@ -6,14 +6,13 @@ rounding the predictions to a grid of spacing eps1 and covering [0, 1] by a
 grid U of spacing eps2, it becomes a finite LP; the total discretization
 error is at most eps1 + 2 * eps2.
 
-Two equivalent programs are implemented.  The primal optimizes the coupling
-mass Pi(u, v, y) directly.  The dual is the reduced form on U with one weight
-pair r(u, 0), r(u, 1) and a slope variable s(u) per grid point: Lipschitz
+The program solved here is the reduced dual on U, with one weight pair
+r(u, 0), r(u, 1) and a slope variable s(u) per grid point: Lipschitz
 constraints are only needed between adjacent grid points (they telescope on a
 sorted line) and s may be boxed into [-1, 1] without changing the optimum.
-Strong duality makes the two objectives agree, which the tests exploit.
-Both programs go to HiGHS through ``_run_lp``; scipy is imported on the first
-solve, so importing the package does not load it.
+By strong duality it equals the coupling LP over the mass Pi(u, v, y), which
+the tests keep as an oracle.  HiGHS solves it through ``_run_lp``; scipy is
+imported on the first solve, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -22,60 +21,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, round_to_grid, sorted_pairs
+from .core import EmpiricalDistribution, readonly, round_to_grid, sorted_pairs
 from .errors import BadEps, SolverFailure
 
-__all__ = [
-    "Grid",
-    "CouplingSolution",
-    "DualSolution",
-    "ldce",
-    "ldce_both_forms",
-    "ldce_primal_solution",
-    "ldce_dual_solution",
-]
+__all__ = ["Grid", "DualSolution", "ldce", "ldce_dual_solution"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Strictly increasing points in [0, 1] containing both endpoints."""
+    """Strictly increasing points in [0, 1] containing both endpoints.
 
-    points: tuple[float, ...]
+    ``points`` is a read-only float64 array.
+    """
+
+    points: np.ndarray
     covering_radius: float
 
     def __post_init__(self):
-        p = self.points
-        if not p or p[0] != 0.0 or p[-1] != 1.0:
+        p = readonly(self.points)
+        object.__setattr__(self, "points", p)
+        if not (p.ndim == 1 and p.size and p[0] == 0.0 and p[-1] == 1.0):
             raise BadEps("grid must start at 0 and end at 1")
-        diffs = np.diff(np.asarray(p))
-        if np.any(diffs <= 0):
+        diffs = np.diff(p)
+        if not np.all(diffs > 0):
             raise BadEps("grid points must be strictly increasing")
-        if np.any(diffs > self.covering_radius + 1e-12):
+        if not np.all(diffs <= self.covering_radius + 1e-12):
             raise BadEps("grid spacing exceeds the declared covering radius")
 
 
 def refine_grid(base: np.ndarray, eps2: float) -> Grid:
-    """Insert points between consecutive base points until spacing <= eps2."""
+    """Insert points between consecutive base points until spacing <= eps2.
+
+    The gap [a, b] splits into k = ceil((b - a) / eps2 - 1e-12) equal parts
+    (one when k < 1): the points a + (b - a) * t / k for t = 1 .. k-1, then b.
+    """
     base = np.unique(np.concatenate([base, [0.0, 1.0]]))
-    pts = [float(base[0])]
-    for a, b in zip(base[:-1], base[1:]):
-        k = int(np.ceil((b - a) / eps2 - 1e-12))
-        for t in range(1, k):
-            pts.append(float(a + (b - a) * t / k))
-        pts.append(float(b))
-    return Grid(points=tuple(pts), covering_radius=eps2)
-
-
-@dataclass(frozen=True)
-class CouplingSolution:
-    """Optimal primal coupling Pi(u, v, y) over grid x support."""
-
-    u: np.ndarray              # grid points, shape (m,)
-    support_v: np.ndarray      # support predictions, shape (q,)
-    support_y: np.ndarray      # support labels, shape (q,)
-    gamma: np.ndarray          # observed mass per support pair, shape (q,)
-    mass: np.ndarray           # coupling mass, shape (m, q)
-    objective: float
+    a, b = base[:-1], base[1:]
+    k = np.maximum(np.ceil((b - a) / eps2 - 1e-12).astype(np.int64), 1)
+    # t runs 1 .. k within each gap; a gap's last point is b itself
+    t = np.arange(1, k.sum() + 1) - np.repeat(np.cumsum(k) - k, k)
+    a, b, k = np.repeat(a, k), np.repeat(b, k), np.repeat(k, k)
+    inner = np.where(t < k, a + (b - a) * t / k, b)
+    return Grid(points=np.concatenate((base[:1], inner)), covering_radius=eps2)
 
 
 @dataclass(frozen=True)
@@ -96,12 +83,12 @@ _SOLVER_OPTIONS = {
 _STATUS = {0: "optimal", 2: "infeasible"}
 
 
-def _run_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> tuple[float, np.ndarray]:
+def _run_lp(c, A_ub, b_ub, bounds) -> tuple[float, np.ndarray]:
     """(objective, x) at the optimum of a HiGHS solve; raises SolverFailure otherwise."""
     from scipy.optimize import linprog
 
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs", options=_SOLVER_OPTIONS)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs",
+                  options=_SOLVER_OPTIONS)
     status = _STATUS.get(res.status, "numerical-failure")
     if status != "optimal":
         raise SolverFailure(status, f"LP terminated with status {status}: {res.message}")
@@ -147,34 +134,7 @@ def _discretize(dist: EmpiricalDistribution, eps1: float, eps2: float):
     support_y = ys[heads].astype(np.int64)
     gamma = np.diff(heads, append=rounded.n) / rounded.n
     grid = refine_grid(vs[new_v], eps2)  # the distinct rounded values, sorted
-    return np.asarray(grid.points), support_v, support_y, gamma
-
-
-def ldce_primal_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
-                         eps2: float = 0.005) -> CouplingSolution:
-    """Solve the coupling LP and return the optimal transport plan."""
-    import scipy.sparse as sp
-
-    _check_eps(eps1, eps2)
-    u, sv, sy, gamma = _discretize(dist, eps1, eps2)
-    m, q = len(u), len(sv)
-    cost = np.abs(u[:, None] - sv[None, :]).ravel()
-    col = np.arange(m * q)
-    # marginal rows: sum_u Pi(u, v, y) = gamma(v, y)
-    row_marg = col % q
-    data_marg = np.ones(m * q)
-    # calibration rows: (1-u) sum_v Pi(u, v, 1) = u sum_v Pi(u, v, 0)
-    row_cal = q + col // q
-    data_cal = np.where(sy[None, :] == 1, 1.0 - u[:, None], -u[:, None]).ravel()
-    A_eq = sp.csr_matrix(
-        (np.concatenate([data_marg, data_cal]),
-         (np.concatenate([row_marg, row_cal]), np.concatenate([col, col]))),
-        shape=(q + m, m * q),
-    )
-    b_eq = np.concatenate([gamma, np.zeros(m)])
-    objective, x = _run_lp(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None))
-    return CouplingSolution(u=u, support_v=sv, support_y=sy, gamma=gamma,
-                            mass=x.reshape(m, q), objective=max(objective, 0.0))
+    return grid.points, support_v, support_y, gamma
 
 
 def ldce_dual_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
@@ -205,24 +165,10 @@ def ldce_dual_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
                         objective=max(-objective, 0.0))
 
 
-def ldce(dist: EmpiricalDistribution, eps1: float = 0.005, eps2: float = 0.005,
-         form: str = "dual") -> float:
+def ldce(dist: EmpiricalDistribution, eps1: float = 0.005, eps2: float = 0.005) -> float:
     """Lower distance to calibration of the empirical distribution.
 
     The returned value approximates the exact lower distance within
     eps1 + 2 * eps2 plus solver tolerance.
     """
-    if form == "dual":
-        return ldce_dual_solution(dist, eps1, eps2).objective
-    if form == "primal":
-        return ldce_primal_solution(dist, eps1, eps2).objective
-    raise BadEps(f"form must be 'primal' or 'dual', got {form!r}")
-
-
-def ldce_both_forms(dist: EmpiricalDistribution, eps1: float = 0.005,
-                    eps2: float = 0.005) -> tuple[float, float]:
-    """(primal objective, dual objective); strong duality makes them agree."""
-    return (
-        ldce_primal_solution(dist, eps1, eps2).objective,
-        ldce_dual_solution(dist, eps1, eps2).objective,
-    )
+    return ldce_dual_solution(dist, eps1, eps2).objective

@@ -19,32 +19,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution
+from .core import EmpiricalDistribution, readonly
 
 __all__ = ["WeightVector", "smce"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """A 1-Lipschitz weight in [-1, 1] restricted to the sample support.
 
-    values: distinct sorted predictions; z: the weight at each value.
+    values: distinct sorted predictions; z: the weight at each value.  Both
+    are read-only float64 arrays.
     """
 
-    values: tuple[float, ...]
-    z: tuple[float, ...]
+    values: np.ndarray
+    z: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != len(self.z) or not self.values:
+        values, z = readonly(self.values), readonly(self.z)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "z", z)
+        if values.ndim != 1 or values.shape != z.shape or not values.size:
             raise ValueError("values and z must be non-empty and equally long")
-        if any(b <= a for a, b in zip(self.values[:-1], self.values[1:])):
+        if not np.all(values[1:] > values[:-1]):
             raise ValueError("values must be strictly increasing")
-        if any(abs(zi) > 1.0 for zi in self.z):
+        if not np.all(np.abs(z) <= 1.0):
             raise ValueError("weights must lie in [-1, 1]")
-        for (va, za), (vb, zb) in zip(zip(self.values[:-1], self.z[:-1]),
-                                      zip(self.values[1:], self.z[1:])):
-            if abs(zb - za) > vb - va:
-                raise ValueError("weights must be 1-Lipschitz across adjacent values")
+        if not np.all(np.abs(np.diff(z)) <= np.diff(values)):
+            raise ValueError("weights must be 1-Lipschitz across adjacent values")
 
 
 def _merged_coefficients(dist: EmpiricalDistribution):
@@ -154,7 +156,7 @@ def smce(dist: EmpiricalDistribution) -> tuple[float, WeightVector]:
         while abs(zj - nxt) > gap:
             zj = math.nextafter(zj, nxt)
         z[j] = zj
-    witness = WeightVector(values=tuple(values.tolist()), z=tuple(z))
+    witness = WeightVector(values=values, z=z)
     # np.sum, not the BLAS dot coef @ z, whose last bits follow the thread count
-    value = float(np.sum(coef * np.array(witness.z)))
+    value = float(np.sum(coef * witness.z))
     return (value if value > 0.0 else 0.0), witness

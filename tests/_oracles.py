@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import calibdist
-from calibdist.core import EmpiricalDistribution, ReliabilityBin, SeededRng, round_to_grid
+from calibdist.core import EmpiricalDistribution, SeededRng, round_to_grid
 from calibdist.errors import BadConfig, TooLarge
-from calibdist.lowerdist import refine_grid
+from calibdist.lowerdist import _check_eps, _discretize, ldce_dual_solution
 
 _FULL_PAIRWISE_CAP = 500
 
@@ -132,11 +133,13 @@ def intce_small_support(dist: EmpiricalDistribution) -> float:
     return float(best)
 
 
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9}
+
+
 def _highs_max(coef, A_ub, b_ub) -> float:
     """max(coef @ z, 0) over z in [-1, 1]^d with A_ub z <= b_ub, solved by HiGHS."""
     res = linprog(-coef, A_ub=A_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-9,
-                           "dual_feasibility_tolerance": 1e-9})
+                  options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
     return max(-float(res.fun), 0.0)
@@ -229,8 +232,11 @@ def random_distribution(rng: np.random.Generator, max_n: int = 200) -> Empirical
     return EmpiricalDistribution(v, y.astype(np.int8))
 
 
-def reliability_bins_masks(dist: EmpiricalDistribution, bins: int) -> list[ReliabilityBin]:
-    """Reliability bins by one boolean mask per bin, O(n * bins)."""
+def reliability_bins_masks(dist: EmpiricalDistribution, bins: int) -> list[tuple]:
+    """(lo, hi, count, mean_v, mean_y) per bin by one boolean mask each, O(n * bins).
+
+    The means are None for an empty bin.
+    """
     idx = np.minimum((dist.v * bins).astype(np.int64), bins - 1)
     out = []
     for b in range(bins):
@@ -241,8 +247,7 @@ def reliability_bins_masks(dist: EmpiricalDistribution, bins: int) -> list[Relia
             mean_y = float(dist.y[mask].mean())
         else:
             mean_v = mean_y = None
-        out.append(ReliabilityBin(lo=b / bins, hi=(b + 1) / bins, count=count,
-                                  mean_v=mean_v, mean_y=mean_y))
+        out.append((b / bins, (b + 1) / bins, count, mean_v, mean_y))
     return out
 
 
@@ -311,8 +316,7 @@ def discretize_lexsort(dist: EmpiricalDistribution, eps1: float, eps2: float):
     new[1:] = (vs[1:] != vs[:-1]) | (ys[1:] != ys[:-1])
     group = np.cumsum(new) - 1
     gamma = np.bincount(group) / rounded.n
-    grid = refine_grid(np.unique(rounded.v), eps2)
-    return np.asarray(grid.points), vs[new], ys[new], gamma
+    return refine_grid_loop(np.unique(rounded.v), eps2), vs[new], ys[new], gamma
 
 
 def ece_unique(dist: EmpiricalDistribution) -> float:
@@ -322,3 +326,70 @@ def ece_unique(dist: EmpiricalDistribution) -> float:
     ysum = np.bincount(inverse, weights=dist.y.astype(float), minlength=len(values))
     mean_y = ysum / counts
     return float(np.sum(counts * np.abs(mean_y - values)) / dist.n)
+
+
+def refine_grid_loop(base: np.ndarray, eps2: float) -> np.ndarray:
+    """``lowerdist.refine_grid``'s points by a loop over gaps and their inner points.
+
+    The vectorized ``refine_grid`` must return these bits.
+    """
+    base = np.unique(np.concatenate([base, [0.0, 1.0]]))
+    pts = [float(base[0])]
+    for a, b in zip(base[:-1], base[1:]):
+        k = int(np.ceil((b - a) / eps2 - 1e-12))
+        for t in range(1, k):
+            pts.append(float(a + (b - a) * t / k))
+        pts.append(float(b))
+    return np.array(pts)
+
+
+@dataclass(frozen=True)
+class CouplingSolution:
+    """Optimal primal coupling Pi(u, v, y) over grid x support."""
+
+    u: np.ndarray              # grid points, shape (m,)
+    support_v: np.ndarray      # support predictions, shape (q,)
+    support_y: np.ndarray      # support labels, shape (q,)
+    gamma: np.ndarray          # observed mass per support pair, shape (q,)
+    mass: np.ndarray           # coupling mass, shape (m, q)
+    objective: float
+
+
+def ldce_primal_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
+                         eps2: float = 0.005) -> CouplingSolution:
+    """The coupling LP over the mass Pi(u, v, y) on ``ldce``'s grid, solved by HiGHS.
+
+    Its objective equals ``ldce``'s reduced dual by strong duality.
+    """
+    _check_eps(eps1, eps2)
+    u, sv, sy, gamma = _discretize(dist, eps1, eps2)
+    m, q = len(u), len(sv)
+    cost = np.abs(u[:, None] - sv[None, :]).ravel()
+    col = np.arange(m * q)
+    # marginal rows: sum_u Pi(u, v, y) = gamma(v, y)
+    row_marg = col % q
+    data_marg = np.ones(m * q)
+    # calibration rows: (1-u) sum_v Pi(u, v, 1) = u sum_v Pi(u, v, 0)
+    row_cal = q + col // q
+    data_cal = np.where(sy[None, :] == 1, 1.0 - u[:, None], -u[:, None]).ravel()
+    A_eq = sp.csr_matrix(
+        (np.concatenate([data_marg, data_cal]),
+         (np.concatenate([row_marg, row_cal]), np.concatenate([col, col]))),
+        shape=(q + m, m * q),
+    )
+    b_eq = np.concatenate([gamma, np.zeros(m)])
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs",
+                  options=_HIGHS_OPTIONS)
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
+    return CouplingSolution(u=u, support_v=sv, support_y=sy, gamma=gamma,
+                            mass=res.x.reshape(m, q), objective=max(float(res.fun), 0.0))
+
+
+def ldce_both_forms(dist: EmpiricalDistribution, eps1: float = 0.005,
+                    eps2: float = 0.005) -> tuple[float, float]:
+    """(primal objective, dual objective); strong duality makes them agree."""
+    return (
+        ldce_primal_solution(dist, eps1, eps2).objective,
+        ldce_dual_solution(dist, eps1, eps2).objective,
+    )

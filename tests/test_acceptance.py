@@ -29,7 +29,6 @@ from calibdist import (
     induce_gamma_exact,
     kce_exact,
     ldce,
-    ldce_both_forms,
     make_empirical,
     round_to_grid,
     sintce_hat,
@@ -39,7 +38,8 @@ from calibdist import (
 from calibdist.cli import main as cli_main
 from calibdist.kernel import _binning_draws, _canonical, _fourier_draws
 
-from _oracles import kernel_identity_check, random_distribution, smce_full_pairwise
+from _oracles import (kernel_identity_check, ldce_both_forms, random_distribution,
+                      smce_full_pairwise)
 
 EPS1 = EPS2 = 0.005
 SLACK = 3 * (EPS1 + EPS2) + 1e-6

@@ -26,13 +26,17 @@ def test_ece_examples():
 
 
 def test_uniform_partition():
-    assert uniform_partition(1).boundaries == (0.0, 1.0)
-    assert uniform_partition(2).boundaries == (0.0, 0.5, 1.0)
+    assert np.array_equal(uniform_partition(1).boundaries, [0.0, 1.0])
+    assert np.array_equal(uniform_partition(2).boundaries, [0.0, 0.5, 1.0])
     p = uniform_partition(20)
     assert len(p.boundaries) == 21
     assert np.allclose(p.widths(), 0.05)
+    assert np.array_equal(uniform_partition(np.int64(20)).boundaries, p.boundaries)
     with pytest.raises(BadBins):
         uniform_partition(0)
+    for bins in (20.0, "20"):
+        with pytest.raises(BadBins, match=f"bins must be a positive integer, got {bins!r}"):
+            uniform_partition(bins)
 
 
 def test_interval_partition_validation():
@@ -42,6 +46,9 @@ def test_interval_partition_validation():
         IntervalPartition((0.0, 0.5, 0.5, 1.0))
     with pytest.raises(BadBins):
         IntervalPartition((0.1, 1.0))
+    for bad in ((0.0, float("nan"), 1.0), (float("nan"), 1.0), (0.0, float("nan"))):
+        with pytest.raises(BadBins):
+            IntervalPartition(bad)
 
 
 def test_binned_ece_examples():

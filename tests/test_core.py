@@ -108,17 +108,18 @@ def test_round_to_grid_idempotent():
 
 def test_reliability_bins_examples():
     bins = reliability_bins(make_empirical([(0.1, 0), (0.9, 1)]), 2)
-    assert [b.count for b in bins] == [1, 1]
-    assert bins[0].mean_y == 0.0 and bins[1].mean_y == 1.0
+    assert bins.count.tolist() == [1, 1]
+    assert bins.mean_y.tolist() == [0.0, 1.0]
+    assert bins.lo.tolist() == [0.0, 0.5] and bins.hi.tolist() == [0.5, 1.0]
 
     # half-open convention: 0.5 lands in the upper bin
     bins = reliability_bins(make_empirical([(0.5, 1)]), 2)
-    assert [b.count for b in bins] == [0, 1]
-    assert bins[0].mean_v is None and bins[0].mean_y is None
+    assert bins.count.tolist() == [0, 1]
+    assert np.isnan(bins.mean_v[0]) and np.isnan(bins.mean_y[0])
 
     # top bin is closed at 1
     bins = reliability_bins(make_empirical([(1.0, 1)]), 4)
-    assert [b.count for b in bins] == [0, 0, 0, 1]
+    assert bins.count.tolist() == [0, 0, 0, 1]
 
 
 def test_reliability_bins_counts_sum():
@@ -129,35 +130,43 @@ def test_reliability_bins_counts_sum():
                             for v, y in zip(rng.random(n), rng.integers(0, 2, n))])
         for bins in (1, 2, 7, 20):
             out = reliability_bins(d, bins)
-            assert sum(b.count for b in out) == n
+            assert out.count.sum() == n
 
 
 def test_reliability_bins_bad_bins():
     d = make_empirical([(0.5, 1)])
     with pytest.raises(BadBins):
         reliability_bins(d, 0)
+    assert reliability_bins(d, np.int64(4)).count.tolist() == [0, 0, 1, 0]
+    for bins in (4.0, "4"):
+        with pytest.raises(BadBins, match=f"bins must be a positive integer, got {bins!r}"):
+            reliability_bins(d, bins)
 
 
 def test_reliability_bins_cap():
     d = make_empirical([(0.5, 1), (1.0, 0)])
     out = reliability_bins(d, MAX_BINS)
-    assert len(out) == MAX_BINS and sum(b.count for b in out) == 2
+    assert out.count.size == MAX_BINS and out.count.sum() == 2
     for bins in (MAX_BINS + 1, 10**11):
         with pytest.raises(BadBins, match=f"at most {MAX_BINS}, got {bins}"):
             reliability_bins(d, bins)
 
 
 def test_reliability_bins_match_masks_bitwise():
-    def fields(bins):
-        return [(b.lo, b.hi, b.count,
-                 None if b.mean_v is None else b.mean_v.hex(),
-                 None if b.mean_y is None else b.mean_y.hex()) for b in bins]
+    def hexed(x):
+        return None if x is None or np.isnan(x) else x.hex()
+
+    def fields(rows):
+        return [(lo, hi, count, hexed(mean_v), hexed(mean_y))
+                for lo, hi, count, mean_v, mean_y in rows]
 
     rng = np.random.default_rng(41)
     for _ in range(60):
         d = random_distribution(rng, max_n=3000)
         for bins in (1, 2, 7, 20, 1000):
-            assert fields(reliability_bins(d, bins)) == fields(reliability_bins_masks(d, bins))
+            columns = reliability_bins(d, bins)
+            got = fields(zip(*(c.tolist() for c in columns)))
+            assert got == fields(reliability_bins_masks(d, bins))
 
 
 def test_seeded_rng_reproducible():

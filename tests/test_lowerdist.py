@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from calibdist import (
     BadEps,
@@ -9,14 +10,14 @@ from calibdist import (
     kce_exact,
     KernelKind,
     ldce,
-    ldce_both_forms,
     ldce_dual_solution,
-    ldce_primal_solution,
     make_empirical,
     smce,
 )
+from calibdist.lowerdist import refine_grid
 
-from _oracles import random_distribution
+from _oracles import (ldce_both_forms, ldce_primal_solution, random_distribution,
+                      refine_grid_loop)
 
 SLACK = 3 * (0.005 + 0.005) + 1e-6
 
@@ -43,8 +44,6 @@ def test_bad_eps():
         ldce(d, eps1=0.0)
     with pytest.raises(BadEps):
         ldce(d, eps2=0.7)
-    with pytest.raises(BadEps):
-        ldce(d, form="nonsense")
 
 
 def test_strong_duality_random_instances():
@@ -136,4 +135,21 @@ def test_grid_validation():
         Grid(points=(0.0, 0.5), covering_radius=0.1)  # spacing too wide
     with pytest.raises(BadEps):
         Grid(points=(0.1, 1.0), covering_radius=1.0)  # missing 0
+    nan = float("nan")
+    for points in ((0.0, nan, 1.0), (nan, 1.0), (0.0, nan)):
+        with pytest.raises(BadEps):
+            Grid(points=points, covering_radius=1.0)
+    with pytest.raises(BadEps):
+        Grid(points=(0.0, 0.5, 1.0), covering_radius=nan)
     Grid(points=(0.0, 0.5, 1.0), covering_radius=0.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=40),
+       st.floats(1e-4, 0.5) | st.sampled_from([0.005, 0.01, 0.1, 1 / 3, 0.5]))
+@example([], 0.5)
+@example([0.0, 1e-15, 0.5 - 1e-13, 0.5, 5e-324], 0.005)
+@example([0.3, 0.3, 0.7], 0.1)  # gaps that are exact multiples of eps2
+def test_refine_grid_matches_loop_bitwise(base, eps2):
+    got = refine_grid(np.array(base), eps2).points
+    assert got.tobytes() == refine_grid_loop(np.array(base), eps2).tobytes()

@@ -94,6 +94,10 @@ def test_weight_vector_invariants_rejected():
         WeightVector(values=(0.1,), z=(1.5,))  # box violation
     with pytest.raises(ValueError):
         WeightVector(values=(0.2, 0.1), z=(0.0, 0.0))  # unsorted
+    nan = float("nan")
+    for values, z in (((0.1, 0.2), (nan, 0.0)), ((0.1, nan), (0.0, 0.0)), ((0.1,), (nan,))):
+        with pytest.raises(ValueError):
+            WeightVector(values=values, z=z)
 
 
 def test_smce_zero_on_perfectly_calibrated():

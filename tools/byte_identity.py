@@ -19,7 +19,8 @@ working tree, both under ``OPENBLAS_NUM_THREADS=1``:
 The list: three ``generate`` files (dbeta at beta 0.5, pa-gap, dbeta at beta
 100); on each, ``measure --metrics all`` with the exact and the subsample
 kernel, the Laplace-only metric set with the fourier and the binning kernel,
-``--bins 1000`` and ``reliability`` at 20 and 1000 bins; one ``sweep`` and one
+``--bins 1000`` and ``reliability`` at 20, 1000 and 100000 bins (the last
+mostly empty bins and bins of every small count); one ``sweep`` and one
 unknown metric.  Each ``--input`` file adds ``measure --metrics all`` and
 ``reliability`` on that file.
 """
@@ -49,6 +50,7 @@ PER_FILE = (
     ("bins-1000", ["measure", "--metrics", "binned-ece,binned-ece-w", "--bins", "1000"]),
     ("reliability", ["reliability"]),
     ("reliability-1000", ["reliability", "--bins", "1000"]),
+    ("reliability-100000", ["reliability", "--bins", "100000"]),
 )
 PER_INPUT = (
     ("all-exact", ["measure", "--metrics", "all"]),
