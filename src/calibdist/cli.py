@@ -332,6 +332,8 @@ def _sweep_cell(task):
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise CalibrationError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.trials < 1:
+        raise CalibrationError(f"--trials must be >= 1, got {args.trials}")
     grid = _parse_beta_grid(args.beta_grid)
     metrics = _resolve_metrics(args.metrics)
     tasks = [

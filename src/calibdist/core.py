@@ -188,6 +188,10 @@ def readonly(values) -> np.ndarray:
     return out
 
 
+# Randomized estimators refuse to allocate their draw or term arrays above
+# this many bytes (1 GiB) and raise TooLarge instead of a MemoryError.
+MAX_DRAW_BYTES = 1 << 30
+
 # Bin counts above this are refused before anything is allocated: a size
 # guard on the partition and reliability arrays, O(bins) each.
 MAX_BINS = 1_000_000

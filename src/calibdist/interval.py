@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, SeededRng
+from .core import MAX_DRAW_BYTES, EmpiricalDistribution, SeededRng
 from .errors import BadConfig, BadWidth, TooLarge
 
 __all__ = [
@@ -40,7 +40,6 @@ SHIFT_RULE_DELTA = 0.05
 
 _DRAW_BLOCK = 1 << 16  # Monte Carlo draws generated and looked up at a time
 _MAX_BUCKETS = 1 << 16  # largest bucket table, 512 KiB of float64
-_MAX_DRAW_BYTES = 1 << 30  # cap on one width's float64 array of draw values
 
 
 def width_exponent(epsilon: float) -> int:
@@ -222,9 +221,9 @@ def rintce_hat(
     _check_width(dist, width)
     if shifts_m < 1:
         raise BadConfig(f"shifts_m must be >= 1, got {shifts_m}")
-    if 8 * shifts_m > _MAX_DRAW_BYTES:
+    if 8 * shifts_m > MAX_DRAW_BYTES:
         raise TooLarge(f"{shifts_m} shift draws per width need {8 * shifts_m} bytes of "
-                       f"float64, above the {_MAX_DRAW_BYTES} byte cap")
+                       f"float64, above the {MAX_DRAW_BYTES} byte cap")
     lookup = _PieceLookup(*_shift_profile(dist, width), width)
     # The draws come in blocks, which is the same stream as one call, and the
     # value for draw r is the state after all breakpoints strictly below r.

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EmpiricalDistribution, SeededRng, sorted_pairs
+from .core import MAX_DRAW_BYTES, EmpiricalDistribution, SeededRng, sorted_pairs
 from .errors import BadConfig, ModeKindMismatch, TooLarge
 
 __all__ = [
@@ -46,6 +46,8 @@ __all__ = [
 _GAUSS_SERIES_TERMS = 48
 _REP_BATCH = 4096  # fixed batching keeps results bit-identical across machines
 _CHUNK_CELLS = 1 << 20  # rows * n per block of fourier and binning arithmetic
+# subsample holds i, j, r[i], r[j], v[i], v[j] and the kernel values per term
+_SUBSAMPLE_BYTES_PER_TERM = 7 * 8
 
 
 class KernelKind(str, Enum):
@@ -196,14 +198,21 @@ def kce_estimate_squared(dist: EmpiricalDistribution, kind: KernelKind,
     if cfg.mode == "exact":
         return kce_exact(dist, kind) ** 2
     rng = cfg.rng if cfg.rng is not None else SeededRng(0)
-    v, r = _canonical(dist)
     n = dist.n
     if cfg.mode == "subsample":
         m = cfg.terms_m if cfg.terms_m is not None else 10 * n
+        if _SUBSAMPLE_BYTES_PER_TERM * m > MAX_DRAW_BYTES:
+            raise TooLarge(f"{m} subsample terms need {_SUBSAMPLE_BYTES_PER_TERM * m} bytes "
+                           f"of working arrays, above the {MAX_DRAW_BYTES} byte cap")
+        v, r = _canonical(dist)
         i = rng.integers(0, n, m)
         j = rng.integers(0, n, m)
         return float(np.mean(r[i] * r[j] * kind.evaluate(v[i], v[j])))
     reps = cfg.reps_r if cfg.reps_r is not None else default_reps()
+    if 8 * reps > MAX_DRAW_BYTES:
+        raise TooLarge(f"{reps} repetitions need {8 * reps} bytes of float64, "
+                       f"above the {MAX_DRAW_BYTES} byte cap")
+    v, r = _canonical(dist)
     if cfg.mode == "fourier":
         return float(_fourier_draws(v, r, reps, rng).mean())
     return float(_binning_draws(v, r, reps, rng).mean())

@@ -6,13 +6,17 @@ rounding the predictions to a grid of spacing eps1 and covering [0, 1] by a
 grid U of spacing eps2, it becomes a finite LP; the total discretization
 error is at most eps1 + 2 * eps2.
 
-The program solved here is the reduced dual on U, with one weight pair
-r(u, 0), r(u, 1) and a slope variable s(u) per grid point: Lipschitz
-constraints are only needed between adjacent grid points (they telescope on a
-sorted line) and s may be boxed into [-1, 1] without changing the optimum.
-By strong duality it equals the coupling LP over the mass Pi(u, v, y), which
-the tests keep as an oracle.  HiGHS solves it through ``_run_lp``; scipy is
-imported on the first solve, so importing the package does not load it.
+The program solved here is the reduced dual on U: maximize E r(v, y) over
+1-Lipschitz chains r(., 0) and r(., 1) on U with (1 - u) r(u, 0) + u r(u, 1),
+i.e. E_{y ~ Bernoulli(u)} r(u, y), at most 0 at every grid point.  A slope
+s(u) with r(u, 0) <= -u s(u) and r(u, 1) <= (1 - u) s(u) exists exactly when
+that row holds, so the textbook slope variable is redundant.  Lipschitz rows
+are only needed between adjacent grid points (they telescope on a sorted
+line), and the rows at u = 0 and u = 1 bound both chains above, so the LP
+needs no boxes.  By strong duality it equals the coupling LP over the mass
+Pi(u, v, y), which the tests keep as an oracle.  HiGHS solves it through
+``_run_lp``; scipy is imported on the first solve, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ class DualSolution:
     u: np.ndarray
     r0: np.ndarray
     r1: np.ndarray
-    s: np.ndarray
     objective: float
 
 
@@ -83,39 +86,16 @@ _SOLVER_OPTIONS = {
 _STATUS = {0: "optimal", 2: "infeasible"}
 
 
-def _run_lp(c, A_ub, b_ub, bounds) -> tuple[float, np.ndarray]:
-    """(objective, x) at the optimum of a HiGHS solve; raises SolverFailure otherwise."""
+def _run_lp(c, A_ub, b_ub) -> tuple[float, np.ndarray]:
+    """(objective, x) at a HiGHS optimum over free variables; raises SolverFailure otherwise."""
     from scipy.optimize import linprog
 
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs",
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None), method="highs",
                   options=_SOLVER_OPTIONS)
     status = _STATUS.get(res.status, "numerical-failure")
     if status != "optimal":
         raise SolverFailure(status, f"LP terminated with status {status}: {res.message}")
     return float(res.fun), res.x
-
-
-def _lipschitz_chain(values: np.ndarray):
-    """Sparse A, b for |z_{i+1} - z_i| <= v_{i+1} - v_i on sorted values."""
-    import scipy.sparse as sp
-
-    d = len(values)
-    gaps = np.diff(values)
-    m = d - 1
-    rows = np.repeat(np.arange(2 * m), 2)
-    cols = np.empty(4 * m, dtype=np.int64)
-    data = np.empty(4 * m)
-    cols[0::4] = np.arange(m) + 1
-    cols[1::4] = np.arange(m)
-    data[0::4] = 1.0
-    data[1::4] = -1.0
-    cols[2::4] = np.arange(m) + 1
-    cols[3::4] = np.arange(m)
-    data[2::4] = -1.0
-    data[3::4] = 1.0
-    A = sp.csr_matrix((data, (rows, cols)), shape=(2 * m, d))
-    b = np.repeat(gaps, 2)  # rows 2i and 2i+1 both bound the i-th gap
-    return A, b
 
 
 def _check_eps(eps1: float, eps2: float) -> None:
@@ -145,24 +125,19 @@ def ldce_dual_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
     _check_eps(eps1, eps2)
     u, sv, sy, gamma = _discretize(dist, eps1, eps2)
     m = len(u)
-    # variables: r0 (m) | r1 (m) | s (m)
-    c = np.zeros(3 * m)
-    pos = np.searchsorted(u, sv)
-    np.add.at(c, pos + m * sy, gamma)
-    chain_A, chain_b = _lipschitz_chain(u)
-    blocks = [
-        sp.hstack([chain_A, sp.csr_matrix((chain_A.shape[0], 2 * m))]),
-        sp.hstack([sp.csr_matrix((chain_A.shape[0], m)), chain_A,
-                   sp.csr_matrix((chain_A.shape[0], m))]),
-        # r(u, 0) <= -u s(u)  and  r(u, 1) <= (1 - u) s(u)
-        sp.hstack([sp.eye(m), sp.csr_matrix((m, m)), sp.diags(u)]),
-        sp.hstack([sp.csr_matrix((m, m)), sp.eye(m), sp.diags(u - 1.0)]),
-    ]
-    A_ub = sp.vstack(blocks, format="csr")
-    b_ub = np.concatenate([chain_b, chain_b, np.zeros(2 * m)])
-    objective, x = _run_lp(-c, A_ub=A_ub, b_ub=b_ub, bounds=(-1.0, 1.0))
-    return DualSolution(u=u, r0=x[:m], r1=x[m:2 * m], s=x[2 * m:],
-                        objective=max(-objective, 0.0))
+    c = np.zeros(2 * m)  # variables: r0 (m) | r1 (m)
+    np.add.at(c, np.searchsorted(u, sv) + m * sy, gamma)
+    step = sp.diags([-np.ones(m - 1), np.ones(m - 1)], [0, 1], shape=(m - 1, m))
+    A_ub = sp.vstack([
+        # |r(u_{i+1}, y) - r(u_i, y)| <= u_{i+1} - u_i on both chains
+        sp.kron(sp.eye(2), sp.vstack([step, -step])),
+        # (1 - u) r(u, 0) + u r(u, 1) <= 0
+        sp.hstack([sp.diags(1.0 - u), sp.diags(u)]),
+    ], format="csr")
+    b_ub = np.concatenate([np.tile(np.diff(u), 4), np.zeros(m)])
+    objective, x = _run_lp(-c, A_ub=A_ub, b_ub=b_ub)
+    # clamp to +0.0 as smce does: max(-objective, 0.0) would keep a -0.0
+    return DualSolution(u=u, r0=x[:m], r1=x[m:], objective=-objective if objective < 0.0 else 0.0)
 
 
 def ldce(dist: EmpiricalDistribution, eps1: float = 0.005, eps2: float = 0.005) -> float:

@@ -219,6 +219,19 @@ def test_measure_metric_error_entry(tmp_path, monkeypatch):
     assert "value" in metrics["smce"]
 
 
+def test_measure_oversized_kce_draws_are_error_entries(tmp_path):
+    # refused before allocation, so the huge counts cost nothing
+    src = tmp_path / "d.csv"
+    _write_csv(src, [(0.5, 1), (0.3, 0)])
+    for mode, flag in (("subsample", "--kce-terms"), ("fourier", "--kce-reps"),
+                       ("binning", "--kce-reps")):
+        out = tmp_path / f"{mode}.json"
+        assert main(["measure", "--input", str(src), "--metrics", "kce-laplace",
+                     "--kce-mode", mode, flag, str(10**15), "--output", str(out)]) == 0
+        error = json.loads(out.read_text())["metrics"]["kce-laplace"]["error"]
+        assert error.startswith(f"{10**15} ") and "byte cap" in error
+
+
 def test_measure_solver_failure_exit_code(tmp_path, monkeypatch):
     src = tmp_path / "d.csv"
     _write_csv(src, [(0.5, 1), (0.3, 0)])
@@ -373,6 +386,15 @@ def test_sweep_jobs_below_one_is_a_flag_error(tmp_path, capsys):
                      "--metrics", "ece", "--jobs", jobs, "--output", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err == f"calib: error: --jobs must be >= 1, got {jobs}\n"
+
+
+def test_sweep_trials_below_one_is_a_flag_error(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for trials in ("0", "-1"):
+        assert main(["sweep", "--beta-grid", "1", "--n", "-5", "--trials", trials,
+                     "--metrics", "ece", "--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"calib: error: --trials must be >= 1, got {trials}\n"
 
 
 # Fragments of input files for the differential test of the CSV reader: rows

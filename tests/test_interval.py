@@ -118,7 +118,7 @@ def test_estimator_config_validation():
 
 def test_draw_count_guard_raises_before_allocating():
     d = make_empirical([(0.2, 1), (0.7, 0)])
-    over = interval._MAX_DRAW_BYTES // 8 + 1
+    over = interval.MAX_DRAW_BYTES // 8 + 1
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match=f"^{over} shift draws per width"):
@@ -131,7 +131,7 @@ def test_draw_count_guard_raises_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     # the default accuracy stays far below the cap
-    assert 8 * default_shifts(0.01) < interval._MAX_DRAW_BYTES // 100
+    assert 8 * default_shifts(0.01) < interval.MAX_DRAW_BYTES // 100
 
 
 def test_sintce_calibrated_floor():

@@ -48,6 +48,23 @@ def test_kce_exact_cap():
         kce_exact(d, KernelKind.LAPLACE, max_n=5)
 
 
+def test_estimator_size_guard_raises_before_allocating(monkeypatch):
+    # the cap is lowered so that no large array is ever requested
+    d = make_empirical([(0.2, 1), (0.7, 0)])
+    monkeypatch.setattr(kernel, "MAX_DRAW_BYTES", 7 * 8 * 100)
+    kce_estimate_squared(d, KernelKind.GAUSSIAN, KernelEstimatorConfig(mode="subsample", terms_m=100))
+    with pytest.raises(TooLarge, match="^101 subsample terms need 5656 bytes"):
+        kce_estimate_squared(d, KernelKind.GAUSSIAN,
+                             KernelEstimatorConfig(mode="subsample", terms_m=101))
+    # 8 * 1000 bytes of repetitions: the default count is at the cap
+    monkeypatch.setattr(kernel, "MAX_DRAW_BYTES", 8 * 1000)
+    for mode in ("fourier", "binning"):
+        kce_estimate_squared(d, KernelKind.LAPLACE, KernelEstimatorConfig(mode=mode))
+        with pytest.raises(TooLarge, match="^1001 repetitions need 8008 bytes"):
+            kce_estimate_squared(d, KernelKind.LAPLACE,
+                                 KernelEstimatorConfig(mode=mode, reps_r=1001))
+
+
 def test_kce_exact_uncapped_by_default():
     # both exact paths are O(n log n), so the default size is unlimited
     rng = np.random.default_rng(53)

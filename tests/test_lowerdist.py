@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,8 @@ from calibdist import (
     make_empirical,
     smce,
 )
+from calibdist import lowerdist
+from calibdist.cli import main
 from calibdist.lowerdist import refine_grid
 
 from _oracles import (ldce_both_forms, ldce_primal_solution, random_distribution,
@@ -122,12 +126,46 @@ def test_dual_solution_is_feasible():
         d = random_distribution(rng, max_n=25)
         sol = ldce_dual_solution(d)
         for r in (sol.r0, sol.r1):
-            assert np.all(np.abs(r) <= 1 + 1e-9)
             assert np.all(np.abs(np.diff(r)) <= np.diff(sol.u) + 1e-9)
-        assert np.all(np.abs(sol.s) <= 1 + 1e-9)
-        # r(u, y) <= (y - u) s(u)
-        assert np.all(sol.r0 <= -sol.u * sol.s + 1e-9)
-        assert np.all(sol.r1 <= (1 - sol.u) * sol.s + 1e-9)
+        # E_{y ~ Bernoulli(u)} r(u, y) <= 0
+        assert np.all((1 - sol.u) * sol.r0 + sol.u * sol.r1 <= 1e-9)
+
+
+def test_dual_lp_has_two_chains_and_no_boxes(monkeypatch):
+    seen = []
+
+    def spy(c, A_ub, b_ub):
+        seen.append((len(c), A_ub.shape, len(b_ub)))
+        return run_lp(c, A_ub, b_ub)
+
+    run_lp = lowerdist._run_lp
+    monkeypatch.setattr(lowerdist, "_run_lp", spy)
+    sol = ldce_dual_solution(make_empirical([(0.3, 1), (0.3, 0), (0.8, 1)]))
+    m = len(sol.u)
+    assert seen == [(2 * m, (5 * m - 4, 2 * m), 5 * m - 4)]
+
+
+def test_zero_value_is_positive_zero(tmp_path, capsys):
+    d = make_empirical([(0.0, 0), (1.0, 1)])
+    assert math.copysign(1.0, ldce(d)) == 1.0
+    path = tmp_path / "calibrated.csv"
+    path.write_text("v,y\n0,0\n1,1\n")
+    assert main(["measure", "--metrics", "ldce", "--input", str(path)]) == 0
+    report = capsys.readouterr().out
+    assert '"value": 0.0' in report and "-0.0" not in report
+
+
+# tied predictions on a coarse lattice, the endpoints, and arbitrary values
+_PREDICTION = st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_PREDICTION, st.integers(0, 1)), min_size=1, max_size=120))
+@example([(0.0, 1), (1.0, 0)])
+@example([(0.5, 1)] * 3 + [(0.5, 0)])
+def test_dual_matches_coupling_lp(pairs):
+    d = make_empirical(pairs)
+    assert ldce(d) == pytest.approx(ldce_primal_solution(d).objective, abs=1e-9)
 
 
 def test_grid_validation():

@@ -16,12 +16,13 @@ working tree, both under ``OPENBLAS_NUM_THREADS=1``:
     OPENBLAS_NUM_THREADS=1 python3 tools/byte_identity.py --src src --out /tmp/b
     diff -r /tmp/a /tmp/b
 
-The list: three ``generate`` files (dbeta at beta 0.5, pa-gap, dbeta at beta
-100); on each, ``measure --metrics all`` with the exact and the subsample
-kernel, the Laplace-only metric set with the fourier and the binning kernel,
-``--bins 1000`` and ``reliability`` at 20, 1000 and 100000 bins (the last
-mostly empty bins and bins of every small count); one ``sweep`` and one
-unknown metric.  Each ``--input`` file adds ``measure --metrics all`` and
+The list: seven ``generate`` files (dbeta at beta 0.5, pa-gap, dbeta at beta
+100, then f-eps, quad-gap, discontinuity (which 2) and gauss-gap, whose
+few-atom supports give degenerate LPs); on each, ``measure --metrics all``
+with the exact and the subsample kernel, the Laplace-only metric set with the
+fourier and the binning kernel, ``--bins 1000`` and ``reliability`` at 20,
+1000 and 100000 bins (the last mostly empty bins and bins of every small
+count); one ``sweep`` and one unknown metric.  Each ``--input`` file adds ``measure --metrics all`` and
 ``reliability`` on that file.
 """
 
@@ -39,6 +40,12 @@ GENERATE = (
     ("dbeta-0.5", ["--family", "dbeta", "--beta", "0.5", "--n", "2000", "--seed", "3"]),
     ("pa-gap", ["--family", "pa-gap", "--alpha", "0.1", "--n", "500", "--seed", "4"]),
     ("dbeta-100", ["--family", "dbeta", "--beta", "100", "--n", "5000", "--seed", "5"]),
+    # few-atom supports: degenerate LPs, where a reformulation most easily moves a vertex
+    ("f-eps", ["--family", "f-eps", "--eps", "0.01", "--n", "2000", "--seed", "6"]),
+    ("quad-gap", ["--family", "quad-gap", "--alpha", "0.2", "--n", "1000", "--seed", "7"]),
+    ("discontinuity-2", ["--family", "discontinuity", "--eps", "0.01", "--which", "2",
+                         "--n", "1000", "--seed", "8"]),
+    ("gauss-gap", ["--family", "gauss-gap", "--eps", "0.05", "--n", "2000", "--seed", "9"]),
 )
 # the metrics that accept every kernel mode: fourier and binning are Laplace-only
 LAPLACE_SET = "ece,binned-ece,binned-ece-w,sintce,smce,ldce,kce-laplace"
