@@ -358,10 +358,10 @@ def cmd_reliability(args) -> int:
     if args.bins < 1:
         raise CalibrationError(f"--bins must be >= 1, got {args.bins}")
     dist, _ = _read_samples(args.input)
+    full, empty = "%.12g,%.12g,%d,%.12g,%.12g", "%.12g,%.12g,%d,,"  # an empty bin has no means
     rows = ["lo,hi,count,mean_v,mean_y"]
-    for lo, hi, count, mv, my in zip(*(c.tolist() for c in reliability_bins(dist, args.bins))):
-        means = f"{mv:.12g},{my:.12g}" if count else ","  # an empty bin has no means
-        rows.append(f"{lo:.12g},{hi:.12g},{count},{means}")
+    rows += [full % row if row[2] else empty % row[:3]
+             for row in zip(*(c.tolist() for c in reliability_bins(dist, args.bins)))]
     _write_text(args.output, "\n".join(rows) + "\n")
     return 0
 

@@ -109,6 +109,19 @@ def rintce_hat_search(dist: EmpiricalDistribution, width: float, shifts_m: int,
     return float(values[np.searchsorted(breaks, draws, "left")].mean())
 
 
+def bucket_table_search(breaks: np.ndarray, values: np.ndarray, scale: float,
+                        buckets: int) -> np.ndarray:
+    """``calibdist.interval._PieceLookup``'s bucket table, one search per bucket.
+
+    ``breaks`` are sorted and distinct; bucket k holds the value after every
+    break whose key floor(break * scale) is below k, or NaN if a key is k.
+    """
+    keys = (breaks * scale).astype(np.intp)
+    table = values[np.searchsorted(keys, np.arange(buckets + 1), side="left")]
+    table[keys] = np.nan
+    return table
+
+
 def intce_small_support(dist: EmpiricalDistribution) -> float:
     """Exact interval calibration error for tiny supports.
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from calibdist import (
+    BadConfig,
     BadWidth,
     IntervalEstimatorConfig,
     SeededRng,
@@ -20,8 +22,8 @@ from calibdist import (
 from calibdist import interval
 from calibdist.interval import _PieceLookup, _shift_profile, default_shifts, width_exponent
 
-from _oracles import (BLAS_PROBE_DIST, random_distribution, rintce_hat_search, rintce_mc_direct,
-                      shift_profile_loop, stdout_per_blas_threads)
+from _oracles import (BLAS_PROBE_DIST, bucket_table_search, random_distribution, rintce_hat_search,
+                      rintce_mc_direct, shift_profile_loop, stdout_per_blas_threads)
 
 # Predictions on a 1e-3 grid (ties, as in quantized files), on a 1e-6 grid,
 # or drawn from a few values that hit both ends of [0, 1].
@@ -105,8 +107,6 @@ def test_width_exponent_rule():
 
 
 def test_estimator_config_validation():
-    from calibdist.errors import BadConfig
-
     with pytest.raises(BadConfig):
         IntervalEstimatorConfig(epsilon=0.0)
     with pytest.raises(BadConfig):
@@ -114,6 +114,27 @@ def test_estimator_config_validation():
     with pytest.raises(BadConfig):
         IntervalEstimatorConfig(epsilon=0.1, shifts_m=0)
     assert IntervalEstimatorConfig(epsilon=0.01).resolved_shifts() == default_shifts(0.01)
+
+
+def test_shift_counts_must_be_positive_integers():
+    d = make_empirical([(0.2, 1), (0.7, 0)])
+    for bad in (2.5, "3", True, 0, -1):
+        message = re.escape(f"shifts_m must be a positive integer, got {bad!r}")
+        with pytest.raises(BadConfig, match=message):
+            IntervalEstimatorConfig(epsilon=0.1, shifts_m=bad)
+        with pytest.raises(BadConfig, match=message):
+            rintce_hat(d, 0.5, bad, SeededRng(0))
+    # any integer type is a count
+    assert rintce_hat(d, 0.5, np.int64(30), SeededRng(0)) == rintce_hat(d, 0.5, 30, SeededRng(0))
+    cfg = IntervalEstimatorConfig(epsilon=0.1, shifts_m=np.int32(30), rng=SeededRng(1))
+    assert type(cfg.resolved_shifts()) is int
+    assert sintce_hat(d, cfg) == sintce_hat(
+        d, IntervalEstimatorConfig(epsilon=0.1, shifts_m=30, rng=SeededRng(1)))
+    # a numpy count is a Python int before the draw-size guard multiplies it
+    with pytest.raises(TooLarge):
+        rintce_hat(d, 0.5, np.int64(2**62), SeededRng(0))
+    with pytest.raises(TooLarge):
+        sintce_hat(d, IntervalEstimatorConfig(epsilon=0.1, shifts_m=np.int64(2**62)))
 
 
 def test_draw_count_guard_raises_before_allocating():
@@ -187,30 +208,69 @@ def test_sintce_range():
         assert 0.0 < exact <= 2.0
 
 
+# Full precision and -0.0 next to the grids; many ties among few values; the
+# widths of eps = 0.001 (down to 2^-11), non-dyadic ones and a narrow one whose
+# bin ids the profile compresses.
+_profile_samples = st.one_of(
+    st.lists(st.tuples(st.one_of(_prediction, st.floats(0.0, 1.0), st.just(-0.0)),
+                       st.integers(0, 1)), min_size=1, max_size=80),
+    st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0]), st.integers(0, 1)),
+             min_size=20, max_size=300),
+)
+_profile_width = st.sampled_from([2.0**-k for k in range(12)] + [0.3, 0.17, 1 / 3, 2.0**-30])
+
+
 @_fuzz
-@given(_samples, _width)
+@given(_profile_samples, _profile_width)
 @example([(0.5, 1)], 1.0)  # n = 1
 @example([(0.0, 0), (1.0, 1), (1.0, 0), (0.0, 1)], 0.5)  # both ends, tied
 @example([(0.3, 1)] * 5 + [(0.6, 0)] * 3, 0.3)  # v a multiple of the width
 @example([(0.17, 0), (0.34, 1), (0.51, 1)], 0.17)
 @example([(0.0, 1), (0.5, 0), (0.5000001, 1), (1.0, 0)], 1e-9)  # ~10^9 bins
+@example([(-0.0, 1), (0.0, 0), (-0.0, 0), (0.5, 1), (0.0, 1)], 0.25)  # signed zeros, rho ties
+@example([(k / 1000, k % 2) for k in range(0, 1001, 7)] * 3, 2.0**-9)
+@example([(float(np.nextafter(1.0, 0.0)), 1), (1.0, 0), (0.5, 1), (2 / 3, 0)], 1 / 3)  # drift
 def test_shift_profile_matches_loop_bitwise(samples, width):
+    # Also with the prediction order passed in, as _sintce shares it across
+    # widths: a stable argsort of rho in that order is the walk's lexsort.
     d = make_empirical(samples)
-    breaks, values = _shift_profile(d, width)
     want_breaks, want_values = shift_profile_loop(d, width)
-    assert breaks.tobytes() == want_breaks.tobytes()
-    assert values.tobytes() == want_values.tobytes()
+    for by_v in (None, np.argsort(d.v, kind="stable")):
+        breaks, values = _shift_profile(d, width, by_v)
+        assert breaks.tobytes() == want_breaks.tobytes()
+        assert values.tobytes() == want_values.tobytes()
+
+
+def test_shared_order_with_int32_bin_ids():
+    # Bin ids that do not fit int16: at width 2^-16 they are q - min(q) + 1
+    # up to about 2^16 (below 2n, so not compressed); at 2^-17 the compressed
+    # ids still pass 2^15.
+    n = 40_000
+    v = np.random.default_rng(28).random(n)
+    assert 2**15 <= np.ptp(np.floor(v * 2**16)) + 1 <= 2 * n
+    assert len(np.unique(np.floor(v * 2**17))) >= 2**15  # compressed ids reach at least this
+    d = make_empirical(list(zip(v, (v > 0.3).astype(int))))
+    for width in (2.0**-16, 2.0**-17, 2.0**-11):
+        breaks, values = _shift_profile(d, width, np.argsort(d.v, kind="stable"))
+        want_breaks, want_values = shift_profile_loop(d, width)
+        assert breaks.tobytes() == want_breaks.tobytes()
+        assert values.tobytes() == want_values.tobytes()
 
 
 @_fuzz
 @given(_samples, _width, st.integers(0, 2**32 - 1))
+@example([(k / 1000, int(k % 3 == 0)) for k in range(1001)], 1.0, 0)  # 2^16 buckets
 def test_piece_index_is_searchsorted(samples, width, seed):
     # The lookup gives the value at np.searchsorted(breaks, draws, "left"),
     # through the bucket table and through the plain search among distinct
-    # breaks (no table, as with more distinct breaks than buckets).
+    # breaks (no table, as with more distinct breaks than buckets).  The
+    # table is the one a search per bucket builds.
     breaks, values = _shift_profile(make_empirical(samples), width)
     lookup = _PieceLookup(breaks, values, width)
     assert lookup.table is not None
+    want_table = bucket_table_search(lookup.breaks, lookup.values, lookup.scale,
+                                     len(lookup.table) - 1)
+    assert lookup.table.tobytes() == want_table.tobytes()
     # random draws, every break and its float neighbours, the bucket edges
     # k / scale and both ends of [0, width]
     near = [np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf)]
@@ -253,6 +313,33 @@ def test_rintce_hat_without_table_matches_search_oracle():
         assert (rintce_hat(d, width, shifts_m, SeededRng(8))
                 == rintce_hat_search(d, width, shifts_m, SeededRng(8)))
     assert rintce_hat(zeros, 1e-310, 10, SeededRng(8)) == pytest.approx(2 / 3, abs=1e-15)
+
+
+def test_sorted_miss_search_matches_search_oracle():
+    # More distinct breaks than _SORTED_SEARCH: the missed draws are searched
+    # in sorted order, behind the table and without it.
+    v = np.random.default_rng(29).random(interval._SORTED_SEARCH + 1000)
+    d = make_empirical(list(zip(v, (v > 0.6).astype(int))))
+    width = 0.5
+    breaks, values = _shift_profile(d, width)
+    lookup = _PieceLookup(breaks, values, width)
+    assert len(lookup.breaks) > interval._SORTED_SEARCH and lookup.table is not None
+    want_table = bucket_table_search(lookup.breaks, lookup.values, lookup.scale,
+                                     len(lookup.table) - 1)
+    assert lookup.table.tobytes() == want_table.tobytes()
+    draws = np.concatenate([np.random.default_rng(30).uniform(0.0, width, 20_000), breaks,
+                            np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+                            [0.0, width]])
+    draws = draws[(draws >= 0.0) & (draws <= width)]
+    want = values[np.searchsorted(breaks, draws, side="left")]
+    for table in (lookup.table, None):
+        lookup.table = table
+        got = np.full(len(draws), np.nan)
+        lookup(draws, got)
+        assert got.tobytes() == want.tobytes()
+    shifts_m = 3 * _BLOCK + 7
+    assert (rintce_hat(d, width, shifts_m, SeededRng(9))
+            == rintce_hat_search(d, width, shifts_m, SeededRng(9)))
 
 
 def test_tiny_widths_raise_bad_width():
