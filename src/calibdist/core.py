@@ -94,7 +94,8 @@ class SeededRng:
 
     Thin wrapper over numpy's PCG64 generator.  ``substream`` derives an
     independent deterministic stream from (seed, *keys), which is how
-    parallel lanes (per repetition, per shift batch) stay reproducible.
+    parallel lanes (per metric, per sweep trial, per interval width) stay
+    reproducible.
     """
 
     __slots__ = ("seed", "_keys", "_gen")
@@ -114,6 +115,9 @@ class SeededRng:
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)
+
+    def multinomial(self, n: int, pvals, size=None):
+        return self._gen.multinomial(n, pvals, size)
 
     def random(self, size=None):
         return self._gen.random(size)
@@ -188,8 +192,8 @@ def readonly(values) -> np.ndarray:
     return out
 
 
-# Randomized estimators refuse to allocate their draw or term arrays above
-# this many bytes (1 GiB) and raise TooLarge instead of a MemoryError.
+# kce's randomized estimators refuse to allocate their draw or term arrays
+# above this many bytes (1 GiB) and raise TooLarge instead of a MemoryError.
 MAX_DRAW_BYTES = 1 << 30
 
 # Bin counts above this are refused before anything is allocated: a size

@@ -8,12 +8,11 @@ which a sorted event sweep builds in O(n log n) numpy operations per width.
 The sweep visits the samples in (rho, q) order, rho = v mod width and q the
 bin; that order comes from one stable argsort of the predictions, shared by
 every width of ``sintce_hat`` and ``sintce_exact``, and one stable argsort of
-rho in that order, which equals ``np.lexsort((q, rho))``.  Each Monte Carlo
-draw is then looked up in a table of equal buckets over [0, width): a bucket
-that holds no breakpoint has one known piece value, so most draws cost one
-multiply and one gather, and only draws in a bucket that holds a breakpoint
-take a binary search.  The draws are the same stream and the gathered values
-the same floats as a binary search of every draw.
+rho in that order, which equals ``np.lexsort((q, rho))``.  The Monte Carlo
+mean over m shifts r ~ Unif[0, width) depends on the shifts only through
+how many land on each piece, and those counts are one Multinomial(m, piece
+length / width) draw.  So the estimator samples the counts, in O(pieces) and
+not O(m): the same distribution as m uniform draws looked up in the profile.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_DRAW_BYTES, EmpiricalDistribution, SeededRng
+from .core import EmpiricalDistribution, SeededRng
 from .errors import BadConfig, BadWidth, TooLarge
 
 __all__ = [
@@ -42,13 +41,6 @@ __all__ = [
 # config can replace the rule's result through shifts_m, not the constants.
 SHIFT_RULE_C = 8.0
 SHIFT_RULE_DELTA = 0.05
-
-_DRAW_BLOCK = 1 << 16  # Monte Carlo draws generated and looked up at a time
-_MAX_BUCKETS = 1 << 17  # largest bucket table, 1 MiB of float64
-_BUCKETS_PER_BREAK = 64
-# Above this many distinct breaks the missed draws are searched in sorted
-# order; among a few hundred, sorting them costs more than it saves.
-_SORTED_SEARCH = 4096
 
 
 def width_exponent(epsilon: float) -> int:
@@ -200,76 +192,29 @@ def _shift_count(shifts_m) -> int:
     return count
 
 
-class _PieceLookup:
-    """Piece values ``values[np.searchsorted(breaks, x, "left")]`` of draws x in [0, width].
-
-    Quantized inputs repeat breakpoints, so the search runs among the distinct
-    ones, each paired with the value after all breaks below it.  In front of
-    the search sits a table of equal buckets: x falls in bucket floor(x *
-    scale), with scale = buckets / width.  That map is monotone, so the breaks
-    below x include every break in a lower bucket and none in a higher one,
-    and in a bucket that holds no break every x has the same piece value.
-    ``table[k]`` holds that value, or NaN (never a profile value) where bucket
-    k holds a break; only draws there are searched.  About 64 buckets per
-    distinct break keep most draws off the occupied ones.  With more distinct
-    breaks than the largest table has buckets, or a scale that overflows,
-    every draw is searched.  Among many distinct breaks the missed draws are
-    searched in sorted order, which walks the breaks once instead of jumping;
-    the indices, and so the gathered floats, are the same.
-    """
-
-    def __init__(self, breaks: np.ndarray, values: np.ndarray, width: float):
-        tied = breaks[1:] == breaks[:-1]
-        if tied.any():
-            heads = np.flatnonzero(np.append(True, ~tied))
-            breaks, values = breaks[heads], values[np.append(heads, len(breaks))]
-        self.breaks, self.values = breaks, values
-        buckets = min(1 << (_BUCKETS_PER_BREAK * len(breaks) - 1).bit_length(), _MAX_BUCKETS)
-        self.scale = buckets / width
-        self.table = None
-        if len(breaks) <= buckets and math.isfinite(self.scale):
-            # bucket k's piece is the number of keys below k: piece i fills
-            # buckets keys[i-1] + 1 .. keys[i], the last one up to ``buckets``
-            keys = (breaks * self.scale).astype(np.intp)
-            self.table = np.repeat(values, np.diff(keys, prepend=-1, append=buckets))
-            self.table[keys] = np.nan
-
-    def __call__(self, draws: np.ndarray, out: np.ndarray) -> None:
-        miss = slice(None)
-        if self.table is not None:
-            np.take(self.table, (draws * self.scale).astype(np.intp), out=out)
-            miss = np.flatnonzero(np.isnan(out))
-        x = draws[miss]
-        if len(self.breaks) > _SORTED_SEARCH:
-            up = np.argsort(x)
-            idx = np.empty(len(x), dtype=np.intp)
-            idx[up] = np.searchsorted(self.breaks, x[up], side="left")
-        else:
-            idx = np.searchsorted(self.breaks, x, side="left")
-        out[miss] = self.values[idx]
+def _piece_lengths(breaks: np.ndarray, width: float) -> np.ndarray:
+    """Lengths of the len(breaks) + 1 pieces of [0, width) that the profile values sit on."""
+    return np.diff(np.concatenate([[0.0], breaks, [width]]))
 
 
 def _profile_mean(breaks: np.ndarray, values: np.ndarray, width: float) -> float:
     """The profile's mean over r ~ Unif[0, width)."""
-    edges = np.concatenate([[0.0], breaks, [width]])
-    lengths = np.diff(edges)  # n + 1 pieces, matching the n + 1 profile values
     # np.sum, not the BLAS dot values @ lengths, whose last bits follow the thread count
-    return float(np.sum(values * lengths) / width)
+    return float(np.sum(values * _piece_lengths(breaks, width)) / width)
 
 
-def _draws_mean(lookup: _PieceLookup, width: float, shifts_m: int, rng: SeededRng) -> float:
-    """The profile's mean over shifts_m draws r ~ Unif[0, width) from rng."""
-    if 8 * shifts_m > MAX_DRAW_BYTES:
-        raise TooLarge(f"{shifts_m} shift draws per width need {8 * shifts_m} bytes of "
-                       f"float64, above the {MAX_DRAW_BYTES} byte cap")
-    # The draws come in blocks, which is the same stream as one call, and the
-    # value for draw r is the state after all breakpoints strictly below r.
-    # One mean over all of them sums in the same order as a single gather.
-    out = np.empty(shifts_m)
-    for lo in range(0, shifts_m, _DRAW_BLOCK):
-        draws = rng.uniform(0.0, width, min(_DRAW_BLOCK, shifts_m - lo))
-        lookup(draws, out[lo:lo + len(draws)])
-    return float(out.mean())
+def _draws_mean(breaks: np.ndarray, values: np.ndarray, width: float, shifts_m: int,
+                rng: SeededRng) -> float:
+    """The profile's mean over shifts_m draws r ~ Unif[0, width) from rng.
+
+    Only the number of draws on each piece matters, and those counts are
+    Multinomial(shifts_m, length / width); a tie group's zero-length pieces
+    get none.  Nothing shifts_m long is allocated; the counts are int64.
+    """
+    if shifts_m >= 2**63:
+        raise TooLarge(f"{shifts_m} shift draws per width do not fit the int64 piece counts")
+    counts = rng.multinomial(shifts_m, _piece_lengths(breaks, width) / width)
+    return float(np.sum(values * counts) / shifts_m)
 
 
 def rintce_exact(dist: EmpiricalDistribution, width: float) -> float:
@@ -287,7 +232,7 @@ def rintce_hat(
     """Average of the shifted binned error over shifts_m uniform draws of r."""
     _check_width(dist, width)
     shifts_m = _shift_count(shifts_m)
-    return _draws_mean(_PieceLookup(*_shift_profile(dist, width), width), width, shifts_m, rng)
+    return _draws_mean(*_shift_profile(dist, width), width, shifts_m, rng)
 
 
 def _sintce(dist: EmpiricalDistribution, epsilon: float, shifts_m: int | None,
@@ -297,12 +242,12 @@ def _sintce(dist: EmpiricalDistribution, epsilon: float, shifts_m: int | None,
     for k in range(width_exponent(epsilon) + 1):
         width = 2.0**-k
         _check_width(dist, width)
+        # no name holds a profile, so none outlives its width
         if shifts_m is None:
             est = _profile_mean(*_shift_profile(dist, width, by_v), width)
         else:
-            # no name holds the profile: the lookup keeps only its distinct breaks
-            lookup = _PieceLookup(*_shift_profile(dist, width, by_v), width)
-            est = _draws_mean(lookup, width, shifts_m, rng.substream(k))
+            est = _draws_mean(*_shift_profile(dist, width, by_v), width, shifts_m,
+                              rng.substream(k))
         best = min(best, est + width)
     return best
 

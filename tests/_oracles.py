@@ -98,30 +98,6 @@ def shift_profile_loop(dist: EmpiricalDistribution, width: float):
     return rho, values / n
 
 
-def rintce_hat_search(dist: EmpiricalDistribution, width: float, shifts_m: int,
-                      rng: SeededRng) -> float:
-    """``rintce_hat`` as one binary search of every draw of one uniform call.
-
-    The bucket-table lookup in ``calibdist.interval`` must return these bits.
-    """
-    breaks, values = shift_profile_loop(dist, width)
-    draws = rng.uniform(0.0, width, shifts_m)
-    return float(values[np.searchsorted(breaks, draws, "left")].mean())
-
-
-def bucket_table_search(breaks: np.ndarray, values: np.ndarray, scale: float,
-                        buckets: int) -> np.ndarray:
-    """``calibdist.interval._PieceLookup``'s bucket table, one search per bucket.
-
-    ``breaks`` are sorted and distinct; bucket k holds the value after every
-    break whose key floor(break * scale) is below k, or NaN if a key is k.
-    """
-    keys = (breaks * scale).astype(np.intp)
-    table = values[np.searchsorted(keys, np.arange(buckets + 1), side="left")]
-    table[keys] = np.nan
-    return table
-
-
 def intce_small_support(dist: EmpiricalDistribution) -> float:
     """Exact interval calibration error for tiny supports.
 

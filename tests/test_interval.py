@@ -19,11 +19,10 @@ from calibdist import (
     sintce_exact,
     sintce_hat,
 )
-from calibdist import interval
-from calibdist.interval import _PieceLookup, _shift_profile, default_shifts, width_exponent
+from calibdist.interval import _shift_profile, default_shifts, width_exponent
 
-from _oracles import (BLAS_PROBE_DIST, bucket_table_search, random_distribution, rintce_hat_search,
-                      rintce_mc_direct, shift_profile_loop, stdout_per_blas_threads)
+from _oracles import (BLAS_PROBE_DIST, random_distribution, rintce_mc_direct, shift_profile_loop,
+                      stdout_per_blas_threads)
 
 # Predictions on a 1e-3 grid (ties, as in quantized files), on a 1e-6 grid,
 # or drawn from a few values that hit both ends of [0, 1].
@@ -60,14 +59,47 @@ def test_rintce_two_point_closed_form():
     assert rintce_exact(d, 0.5) == pytest.approx(0.75, abs=1e-12)
 
 
-def test_rintce_matches_direct_monte_carlo():
+def _moment_instances():
+    """50 rows at three decimals, tied among 12 values, and 50 at full precision."""
     rng = np.random.default_rng(20)
-    for _ in range(10):
-        d = random_distribution(rng, max_n=40)
-        width = float(rng.choice([1.0, 0.5, 0.3, 0.17]))
-        ours = rintce_hat(d, width, 300, SeededRng(99))
-        direct = rintce_mc_direct(d, width, 300, SeededRng(99))
-        assert ours == pytest.approx(direct, abs=1e-12)
+    tied = rng.choice(np.round(rng.random(12), 3), 50)
+    full = rng.random(50)
+    return [make_empirical(list(zip(v, (rng.random(50) < v**2).astype(int))))
+            for v in (tied, full)]
+
+
+def _assert_shift_moments(estimate, d, width, shifts_m, seeds=2000):
+    # Over seeds 0..seeds-1, the estimates' mean lies within 4 standard errors
+    # of rintce_exact and their variance near the exact one: a single shift
+    # lands on piece i with probability p_i = length_i / width, so the mean of
+    # shifts_m has variance sum p_i (value_i - exact)^2 / shifts_m.
+    exact = rintce_exact(d, width)
+    breaks, values = shift_profile_loop(d, width)
+    p = np.diff(np.concatenate([[0.0], breaks, [width]])) / width
+    var = float(np.sum(p * (values - exact) ** 2)) / shifts_m
+    est = np.array([estimate(d, width, shifts_m, SeededRng(seed)) for seed in range(seeds)])
+    assert abs(est.mean() - exact) <= 4 * np.sqrt(var / seeds)
+    assert 0.85 <= est.var(ddof=1) / var <= 1.15
+
+
+def test_rintce_hat_has_the_shift_distribution():
+    for d in _moment_instances():
+        _assert_shift_moments(rintce_hat, d, 0.125, 1000)
+
+
+def test_rintce_matches_direct_monte_carlo():
+    # The direct estimator bins every draw in Python, so it makes 20 draws a seed.
+    for d in _moment_instances():
+        _assert_shift_moments(rintce_mc_direct, d, 0.125, 20)
+
+
+def test_zero_length_pieces_are_never_drawn():
+    # A tie group's breaks are equal, so the profile values between them sit
+    # on pieces of length 0: here 5/12 between the two breaks at 0.25.
+    d = make_empirical([(0.25, 1), (0.25, 0), (0.75, 1)])
+    breaks, values = _shift_profile(d, 0.5)
+    assert breaks.tolist() == [0.25] * 3 and values[1] == pytest.approx(5 / 12, abs=1e-15)
+    assert {rintce_hat(d, 0.5, 1, SeededRng(seed)) for seed in range(300)} == {0.25}
 
 
 def test_rintce_hat_converges_to_exact():
@@ -130,29 +162,37 @@ def test_shift_counts_must_be_positive_integers():
     assert type(cfg.resolved_shifts()) is int
     assert sintce_hat(d, cfg) == sintce_hat(
         d, IntervalEstimatorConfig(epsilon=0.1, shifts_m=30, rng=SeededRng(1)))
-    # a numpy count is a Python int before the draw-size guard multiplies it
+    # a numpy count is a Python int before the count guard compares it
+    assert rintce_hat(d, 0.5, np.int64(2**62), SeededRng(0)) == pytest.approx(
+        rintce_exact(d, 0.5), abs=1e-6)
+    cfg = IntervalEstimatorConfig(epsilon=0.1, shifts_m=np.int64(2**62))
+    assert 0.0 < sintce_hat(d, cfg) <= 2.0
     with pytest.raises(TooLarge):
-        rintce_hat(d, 0.5, np.int64(2**62), SeededRng(0))
+        rintce_hat(d, 0.5, np.uint64(2**63), SeededRng(0))
     with pytest.raises(TooLarge):
-        sintce_hat(d, IntervalEstimatorConfig(epsilon=0.1, shifts_m=np.int64(2**62)))
+        sintce_hat(d, IntervalEstimatorConfig(epsilon=0.1, shifts_m=np.uint64(2**63)))
 
 
 def test_draw_count_guard_raises_before_allocating():
+    # The piece counts are int64, so 2^63 - 1 draws per width is the most.
+    # Nothing shifts_m long is allocated: eps 1e-4 (4,563,025,980 draws at
+    # each of 16 widths) gives a value.
     d = make_empirical([(0.2, 1), (0.7, 0)])
-    over = interval.MAX_DRAW_BYTES // 8 + 1
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge, match=f"^{over} shift draws per width"):
-            rintce_hat(d, 0.5, over, SeededRng(0))
-        for eps in (1e-4, 1e-20):
-            with pytest.raises(TooLarge, match=f"^{default_shifts(eps)} shift draws"):
-                sintce_hat(d, IntervalEstimatorConfig(epsilon=eps))
+        with pytest.raises(TooLarge, match=f"^{2**63} shift draws per width"):
+            rintce_hat(d, 0.5, 2**63, SeededRng(0))
+        with pytest.raises(TooLarge, match=f"^{default_shifts(1e-20)} shift draws per width"):
+            sintce_hat(d, IntervalEstimatorConfig(epsilon=1e-20))
+        most = rintce_hat(d, 1.0, 2**63 - 1, SeededRng(0))
+        value = sintce_hat(d, IntervalEstimatorConfig(epsilon=1e-4))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # the default accuracy stays far below the cap
-    assert 8 * default_shifts(0.01) < interval.MAX_DRAW_BYTES // 100
+    assert default_shifts(1e-4) == 4_563_025_980
+    assert most == pytest.approx(rintce_exact(d, 1.0), abs=1e-6)
+    assert value == pytest.approx(sintce_exact(d, 1e-4), abs=1e-12)
 
 
 def test_sintce_calibrated_floor():
@@ -255,91 +295,6 @@ def test_shared_order_with_int32_bin_ids():
         want_breaks, want_values = shift_profile_loop(d, width)
         assert breaks.tobytes() == want_breaks.tobytes()
         assert values.tobytes() == want_values.tobytes()
-
-
-@_fuzz
-@given(_samples, _width, st.integers(0, 2**32 - 1))
-@example([(k / 1000, int(k % 3 == 0)) for k in range(1001)], 1.0, 0)  # 2^16 buckets
-def test_piece_index_is_searchsorted(samples, width, seed):
-    # The lookup gives the value at np.searchsorted(breaks, draws, "left"),
-    # through the bucket table and through the plain search among distinct
-    # breaks (no table, as with more distinct breaks than buckets).  The
-    # table is the one a search per bucket builds.
-    breaks, values = _shift_profile(make_empirical(samples), width)
-    lookup = _PieceLookup(breaks, values, width)
-    assert lookup.table is not None
-    want_table = bucket_table_search(lookup.breaks, lookup.values, lookup.scale,
-                                     len(lookup.table) - 1)
-    assert lookup.table.tobytes() == want_table.tobytes()
-    # random draws, every break and its float neighbours, the bucket edges
-    # k / scale and both ends of [0, width]
-    near = [np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf)]
-    edges = np.arange(int(lookup.scale * width) + 2) / lookup.scale
-    draws = np.concatenate([np.random.default_rng(seed).uniform(0.0, width, 300),
-                            breaks, *near, edges, [0.0, width]])
-    draws = draws[(draws >= 0.0) & (draws <= width)]
-    want = values[np.searchsorted(breaks, draws, side="left")]
-    for table in (lookup.table, None):
-        lookup.table = table
-        got = np.full(len(draws), np.nan)
-        lookup(draws, got)
-        assert got.tobytes() == want.tobytes()
-
-
-_BLOCK = interval._DRAW_BLOCK
-
-
-@_fuzz
-@given(_samples, _width, st.sampled_from([1, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7]),
-       st.integers(0, 2**32 - 1))
-@example([(0.3, 1)] * 5 + [(0.6, 0)] * 3 + [(0.0, 1), (1.0, 0)], 0.3, _BLOCK + 1, 0)  # ties
-@example([(0.5, 1), (0.5, 0), (0.25, 1), (0.75, 0)], 2.0**-8, 3 * _BLOCK + 7, 1)
-def test_rintce_hat_matches_search_oracle(samples, width, shifts_m, seed):
-    d = make_empirical(samples)
-    got = rintce_hat(d, width, shifts_m, SeededRng(seed))
-    assert got == rintce_hat_search(d, width, shifts_m, SeededRng(seed))
-
-
-def test_rintce_hat_without_table_matches_search_oracle():
-    # More distinct breaks than the largest table has buckets; and a bucket
-    # scale that overflows, since all predictions at 0 allow any width.
-    v = np.random.default_rng(27).random(interval._MAX_BUCKETS + 1000)
-    wide = make_empirical(list(zip(v, (v > 0.4).astype(int))))
-    zeros = make_empirical([(0.0, 1), (0.0, 0), (0.0, 1)])
-    for d, width in ((wide, 0.5), (zeros, 1e-310)):
-        breaks, values = _shift_profile(d, width)
-        assert _PieceLookup(breaks, values, width).table is None
-        shifts_m = _BLOCK + 1
-        assert (rintce_hat(d, width, shifts_m, SeededRng(8))
-                == rintce_hat_search(d, width, shifts_m, SeededRng(8)))
-    assert rintce_hat(zeros, 1e-310, 10, SeededRng(8)) == pytest.approx(2 / 3, abs=1e-15)
-
-
-def test_sorted_miss_search_matches_search_oracle():
-    # More distinct breaks than _SORTED_SEARCH: the missed draws are searched
-    # in sorted order, behind the table and without it.
-    v = np.random.default_rng(29).random(interval._SORTED_SEARCH + 1000)
-    d = make_empirical(list(zip(v, (v > 0.6).astype(int))))
-    width = 0.5
-    breaks, values = _shift_profile(d, width)
-    lookup = _PieceLookup(breaks, values, width)
-    assert len(lookup.breaks) > interval._SORTED_SEARCH and lookup.table is not None
-    want_table = bucket_table_search(lookup.breaks, lookup.values, lookup.scale,
-                                     len(lookup.table) - 1)
-    assert lookup.table.tobytes() == want_table.tobytes()
-    draws = np.concatenate([np.random.default_rng(30).uniform(0.0, width, 20_000), breaks,
-                            np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
-                            [0.0, width]])
-    draws = draws[(draws >= 0.0) & (draws <= width)]
-    want = values[np.searchsorted(breaks, draws, side="left")]
-    for table in (lookup.table, None):
-        lookup.table = table
-        got = np.full(len(draws), np.nan)
-        lookup(draws, got)
-        assert got.tobytes() == want.tobytes()
-    shifts_m = 3 * _BLOCK + 7
-    assert (rintce_hat(d, width, shifts_m, SeededRng(9))
-            == rintce_hat_search(d, width, shifts_m, SeededRng(9)))
 
 
 def test_tiny_widths_raise_bad_width():

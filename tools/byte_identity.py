@@ -20,8 +20,9 @@ The list: seven ``generate`` files (dbeta at beta 0.5, pa-gap, dbeta at beta
 100, then f-eps, quad-gap, discontinuity (which 2) and gauss-gap, whose
 few-atom supports give degenerate LPs); on each, ``measure --metrics all``
 with the exact and the subsample kernel, the Laplace-only metric set with the
-fourier and the binning kernel, ``--bins 1000``, ``--metrics sintce --eps
-0.005`` (widths down to 2^-9) and ``reliability`` at 20, 1000 and 100000 bins
+fourier and the binning kernel, ``--bins 1000``, ``--metrics sintce`` at ``--eps
+0.005`` (widths down to 2^-9) and at ``--eps 1e-4`` (down to 2^-15, with
+4,563,025,980 shifts per width), ``reliability`` at 20, 1000 and 100000 bins
 (the last mostly empty bins and bins of every small count); one ``sweep`` and
 one unknown metric.  Each ``--input`` file adds ``measure --metrics all`` and
 ``reliability`` on that file.
@@ -58,6 +59,8 @@ PER_FILE = (
     ("bins-1000", ["measure", "--metrics", "binned-ece,binned-ece-w", "--bins", "1000"]),
     # widths down to 2^-9 and another default shift count
     ("sintce-eps-0.005", ["measure", "--metrics", "sintce", "--eps", "0.005"]),
+    # widths down to 2^-15 and 4,563,025,980 shifts per width
+    ("sintce-eps-1e-4", ["measure", "--metrics", "sintce", "--eps", "1e-4"]),
     ("reliability", ["reliability"]),
     ("reliability-1000", ["reliability", "--bins", "1000"]),
     ("reliability-100000", ["reliability", "--bins", "100000"]),
