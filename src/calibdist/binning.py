@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, check_bins, readonly, sorted_pairs
+from .core import EmpiricalDistribution, check_bins, distinct_predictions, readonly
 from .errors import BadBins
 
 __all__ = ["IntervalPartition", "ece", "binned_ece", "uniform_partition"]
@@ -64,12 +64,8 @@ def ece(dist: EmpiricalDistribution) -> float:
     Distinctness is bitwise equality of the stored float64 predictions,
     except that -0.0 and 0.0 count as one value.
     """
-    v, y = sorted_pairs(dist)
-    heads = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    values = v[heads]
-    counts = np.diff(heads, append=dist.n)
-    # sums of 0.0/1.0 labels are exact integers in any order
-    mean_y = np.add.reduceat(y, heads) / counts
+    values, counts, ones = distinct_predictions(dist)
+    mean_y = ones / counts
     return float(np.sum(counts * np.abs(mean_y - values)) / dist.n)
 
 

@@ -185,6 +185,14 @@ def sorted_pairs(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
     return key.view(np.float64), y
 
 
+def distinct_predictions(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, counts, ones): sorted distinct predictions (-0.0 and 0.0 one value),
+    their sample counts and label-1 counts, the last as exact float64 sums."""
+    v, y = sorted_pairs(dist)
+    heads = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    return v[heads], np.diff(heads, append=dist.n), np.add.reduceat(y, heads)
+
+
 def readonly(values) -> np.ndarray:
     """A read-only float64 copy of ``values``."""
     out = np.array(values, dtype=np.float64)

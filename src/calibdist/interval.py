@@ -1,18 +1,18 @@
 """Randomized-shift interval calibration error and its estimable surrogate.
 
 For a fixed bin width the binned error, as a function of the random shift r,
-is piecewise constant in r with at most one breakpoint per sample (the shift
-at which that sample crosses into the previous bin).  Both the Monte Carlo
-estimator and the exact expectation over shifts are evaluated on that profile,
-which a sorted event sweep builds in O(n log n) numpy operations per width.
-The sweep visits the samples in (rho, q) order, rho = v mod width and q the
-bin; that order comes from one stable argsort of the predictions, shared by
-every width of ``sintce_hat`` and ``sintce_exact``, and one stable argsort of
-rho in that order, which equals ``np.lexsort((q, rho))``.  The Monte Carlo
-mean over m shifts r ~ Unif[0, width) depends on the shifts only through
-how many land on each piece, and those counts are one Multinomial(m, piece
-length / width) draw.  So the estimator samples the counts, in O(pieces) and
-not O(m): the same distribution as m uniform draws looked up in the profile.
+is piecewise constant in r with at most one breakpoint per distinct
+prediction (the shift at which its samples cross into the previous bin).
+Both the Monte Carlo estimator and the exact expectation over shifts are
+evaluated on that profile, which a sorted event sweep over the d distinct
+predictions builds in O(d log d) numpy operations per width.  One sort of the
+(v, y) pairs per call, shared by every width of ``sintce_hat`` and
+``sintce_exact``, groups the samples into the sorted distinct predictions and
+the summed residual of each.  The Monte Carlo mean over m shifts r ~ Unif[0,
+width) depends on the shifts only through how many land on each piece, and
+those counts are one Multinomial(m, piece length / width) draw.  So the
+estimator samples the counts, in O(pieces) and not O(m): the same
+distribution as m uniform draws looked up in the profile.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, SeededRng
+from .core import EmpiricalDistribution, SeededRng, distinct_predictions
 from .errors import BadConfig, BadWidth, TooLarge
 
 __all__ = [
@@ -74,39 +74,43 @@ class IntervalEstimatorConfig:
         return self.shifts_m if self.shifts_m is not None else default_shifts(self.epsilon)
 
 
-def _shift_profile(dist: EmpiricalDistribution, width: float, by_v: np.ndarray | None = None):
+def _group(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(u, R): the sorted distinct predictions and the summed residual of each.
+
+    R = ones - count * u takes two roundings, whatever the input order.
+    """
+    u, count, ones = distinct_predictions(dist)
+    return u, ones - count * u
+
+
+def _shift_profile(u: np.ndarray, R: np.ndarray, n: int, width: float):
     """Breakpoints and piece values of r -> sum_j |mean[(y-v) 1(v in I_{r,j})]|.
 
-    Bin j at shift r is [r + j*width, r + (j+1)*width); sample v sits in bin
+    Takes the grouped samples of ``_group`` and the sample count n.  Bin j at
+    shift r is [r + j*width, r + (j+1)*width); value v sits in bin
     floor((v - r)/width), which drops by one exactly when r exceeds v mod
-    width.  Returns (breaks, values) with len(values) = len(breaks) + 1:
-    ``values[i]`` is the profile value after the first i breakpoints, i.e.
-    on the piece of [0, width) between breaks[i-1] (exclusive) and breaks[i]
-    (inclusive).
+    width.  Returns (breaks, values) with len(values) = len(breaks) + 1 =
+    len(u) + 1: ``values[i]`` is the profile value after the first i
+    breakpoints, i.e. on the piece of [0, width) between breaks[i-1]
+    (exclusive) and breaks[i] (inclusive).
 
-    The profile is an event sweep: breakpoint i moves r_i from bin q_i to bin
-    q_i - 1, i.e. updates bin q_i by -r_i and then bin q_i - 1 by +r_i.  A
+    The profile is an event sweep: breakpoint i moves R_i from bin q_i to bin
+    q_i - 1, i.e. updates bin q_i by -R_i and then bin q_i - 1 by +R_i.  A
     stable sort by bin keeps each bin's updates in time order, so a running
     sum per bin gives every bin value before and after each update; a running
-    sum of the |.| changes in time order gives the profile.  Each sum adds the
-    same floats in the same order as a per-sample walk with one dict of bin
-    sums (``tests/_oracles.shift_profile_loop``), so the result is bit for bit
-    that walk's.  Python loops only over bins, never over samples.
+    sum of the |.| changes in time order gives the profile.  Python loops only
+    over bins.  The samples at one value cross together, so this is a
+    per-sample walk (``tests/_oracles.shift_profile_loop``) at the last event
+    of each tie group, up to round-off; the walk's other pieces have length 0.
 
-    Time order is ``np.lexsort((q, rho))``: by rho, then bin, then input
-    order.  It is taken as a stable argsort of rho in the order ``by_v``, a
-    stable argsort of v (computed here when not given; ``_sintce`` shares one
-    across its widths).  Unless the float-drift guard fires (never at a
-    dyadic width), rho = v - fl(q*width) exactly (Sterbenz), so equal rho and
-    v_i < v_j force q_i < q_j, and equal v keeps input order: v order breaks
-    rho ties as the lexsort does.  Within a bin rho rises with v, so in v
-    order each bin is one sorted run and timsort only merges runs.
+    Time order is by rho, then bin.  Unless the float-drift guard fires
+    (never at a dyadic width), rho = u - fl(q*width) exactly (Sterbenz), so
+    equal rho and u_i < u_j force q_i < q_j: u is sorted, and a stable
+    argsort of rho is that order.
     """
-    v = dist.v
-    r = dist.residuals()
-    n = dist.n
-    q = np.floor(v / width).astype(np.int64)
-    rho = v - q * width
+    d = len(u)
+    q = np.floor(u / width).astype(np.int64)
+    rho = u - q * width
     # guard against float drift putting rho outside [0, width)
     over = rho >= width
     q[over] += 1
@@ -117,43 +121,31 @@ def _shift_profile(dist: EmpiricalDistribution, width: float, by_v: np.ndarray |
     drifted = over.any() or under.any()
 
     q -= q.min() - 1  # bin ids from 1, so every q - 1 is an id >= 0
-    if int(q.max()) > 2 * n:
+    if int(q.max()) > 2 * d:
         # narrow widths: shrink gaps between occupied bins to one empty bin,
         # which keeps q - 1 apart from every other occupied bin
         used, q = np.unique(q, return_inverse=True)
         q = np.cumsum(np.minimum(np.diff(used, prepend=-1), 2))[q]
 
-    # initial bin sums in sample order; their total in order of first
-    # appearance, as the dict of a per-sample walk holds them
-    init = np.bincount(q, weights=r)
-    first = np.full(len(init), n)
-    np.minimum.at(first, q, np.arange(n))
-    occupied = np.flatnonzero(first < n)
-    total = sum(abs(s) for s in init[occupied[np.argsort(first[occupied])]])
-
-    if drifted:
-        order = np.lexsort((q, rho))
-    else:
-        if by_v is None:
-            by_v = np.argsort(v, kind="stable")
-        order = by_v[np.argsort(rho[by_v], kind="stable")]
+    init = np.bincount(q, weights=R)
+    order = np.lexsort((q, rho)) if drifted else np.argsort(rho, kind="stable")
     rho = rho[order]
-    # event i, in time order, is the update pair (q_i, -r_i), (q_i - 1, +r_i);
+    # event i, in time order, is the update pair (q_i, -R_i), (q_i - 1, +R_i);
     # int16 ids make the stable argsort a radix sort
-    ids = np.empty(2 * n, dtype=np.int16 if q.max() < 2**15 else np.int32)
+    ids = np.empty(2 * d, dtype=np.int16 if q.max() < 2**15 else np.int32)
     ids[0::2] = q[order]
     ids[1::2] = ids[0::2] - 1
-    steps = np.empty(2 * n)
-    steps[1::2] = r[order]
+    steps = np.empty(2 * d)
+    steps[1::2] = R[order]
     np.negative(steps[1::2], out=steps[0::2])
-    del q, r, order  # free before the 2n-long arrays below
+    del q, order  # free before the 2d-long arrays below
     by_bin = np.argsort(ids, kind="stable")
     ids = ids[by_bin]
     after = steps[by_bin]
     heads = np.flatnonzero(np.diff(ids, prepend=-1))
     start = init[ids[heads]]
     after[heads] += start
-    tails = np.append(heads[1:], 2 * n)
+    tails = np.append(heads[1:], 2 * d)
     runs = tails - heads > 1
     for s, e in zip(heads[runs], tails[runs]):
         np.cumsum(after[s:e], out=after[s:e])
@@ -165,19 +157,19 @@ def _shift_profile(dist: EmpiricalDistribution, width: float, by_v: np.ndarray |
     # per event total -= |old_q| + |old_lo|, then total += |new_q| + |new_lo|
     steps[by_bin] = np.abs(after)
     after[by_bin] = np.abs(before)
-    profile = np.empty(2 * n + 1)
-    profile[0] = total
+    profile = np.empty(2 * d + 1)
+    profile[0] = np.sum(np.abs(init))
     profile[1::2] = -(after[0::2] + after[1::2])
     profile[2::2] = steps[0::2] + steps[1::2]
     np.cumsum(profile, out=profile)
     return rho, profile[0::2] / n
 
 
-def _check_width(dist: EmpiricalDistribution, width: float) -> None:
+def _check_width(top: float, width: float) -> None:
     if not (0.0 < width <= 1.0):
         raise BadWidth(f"width must satisfy 0 < width <= 1, got {width}")
-    # the bin ids floor(v / width) are int64, and max(v) / width is the largest
-    if float(dist.v.max()) / width >= 2.0**63:
+    # the bin ids floor(v / width) are int64, and top = max(v) gives the largest
+    if top / width >= 2.0**63:
         raise BadWidth(f"width {width} is too small: bin ids overflow int64")
 
 
@@ -208,8 +200,9 @@ def _draws_mean(breaks: np.ndarray, values: np.ndarray, width: float, shifts_m: 
     """The profile's mean over shifts_m draws r ~ Unif[0, width) from rng.
 
     Only the number of draws on each piece matters, and those counts are
-    Multinomial(shifts_m, length / width); a tie group's zero-length pieces
-    get none.  Nothing shifts_m long is allocated; the counts are int64.
+    Multinomial(shifts_m, length / width).  numpy draws nothing for a piece
+    of probability 0, so a per-sample profile, whose extra pieces all have
+    length 0, gets the same counts.  Nothing shifts_m long is allocated.
     """
     if shifts_m >= 2**63:
         raise TooLarge(f"{shifts_m} shift draws per width do not fit the int64 piece counts")
@@ -219,8 +212,9 @@ def _draws_mean(breaks: np.ndarray, values: np.ndarray, width: float, shifts_m: 
 
 def rintce_exact(dist: EmpiricalDistribution, width: float) -> float:
     """Exact expectation over the uniform shift r ~ Unif[0, width)."""
-    _check_width(dist, width)
-    return _profile_mean(*_shift_profile(dist, width), width)
+    u, R = _group(dist)
+    _check_width(float(u[-1]), width)
+    return _profile_mean(*_shift_profile(u, R, dist.n, width), width)
 
 
 def rintce_hat(
@@ -230,23 +224,25 @@ def rintce_hat(
     rng: SeededRng,
 ) -> float:
     """Average of the shifted binned error over shifts_m uniform draws of r."""
-    _check_width(dist, width)
+    u, R = _group(dist)
+    _check_width(float(u[-1]), width)
     shifts_m = _shift_count(shifts_m)
-    return _draws_mean(*_shift_profile(dist, width), width, shifts_m, rng)
+    return _draws_mean(*_shift_profile(u, R, dist.n, width), width, shifts_m, rng)
 
 
 def _sintce(dist: EmpiricalDistribution, epsilon: float, shifts_m: int | None,
             rng: SeededRng | None) -> float:
-    by_v = np.argsort(dist.v, kind="stable")  # one prediction order for every width
+    u, R = _group(dist)  # once for every width
+    top = float(u[-1])
     best = math.inf
     for k in range(width_exponent(epsilon) + 1):
         width = 2.0**-k
-        _check_width(dist, width)
+        _check_width(top, width)
         # no name holds a profile, so none outlives its width
         if shifts_m is None:
-            est = _profile_mean(*_shift_profile(dist, width, by_v), width)
+            est = _profile_mean(*_shift_profile(u, R, dist.n, width), width)
         else:
-            est = _draws_mean(*_shift_profile(dist, width, by_v), width, shifts_m,
+            est = _draws_mean(*_shift_profile(u, R, dist.n, width), width, shifts_m,
                               rng.substream(k))
         best = min(best, est + width)
     return best

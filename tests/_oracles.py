@@ -22,6 +22,7 @@ from scipy.optimize import linprog
 import calibdist
 from calibdist.core import EmpiricalDistribution, SeededRng, round_to_grid
 from calibdist.errors import BadConfig, TooLarge
+from calibdist.interval import width_exponent
 from calibdist.lowerdist import _check_eps, _discretize, ldce_dual_solution
 
 _FULL_PAIRWISE_CAP = 500
@@ -55,14 +56,9 @@ def rintce_mc_direct(dist: EmpiricalDistribution, width: float, shifts: int,
     return total / shifts
 
 
-def shift_profile_loop(dist: EmpiricalDistribution, width: float):
-    """The interval shift profile as a per-sample walk over a dict of bin sums.
-
-    Same contract as ``calibdist.interval._shift_profile``; the fast sweep
-    must return these bits exactly.
-    """
+def _walk_order(dist: EmpiricalDistribution, width: float):
+    """Bins q, offsets rho = v mod width, and the walk's event order by (rho, q, input)."""
     v = dist.v
-    r = dist.residuals()
     q = np.floor(v / width).astype(np.int64)
     rho = v - q * width
     # guard against float drift putting rho outside [0, width)
@@ -72,8 +68,18 @@ def shift_profile_loop(dist: EmpiricalDistribution, width: float):
     under = rho < 0.0
     q[under] -= 1
     rho[under] += width
+    return q, rho, np.lexsort((q, rho))
 
-    order = np.lexsort((q, rho))
+
+def shift_profile_loop(dist: EmpiricalDistribution, width: float):
+    """The interval shift profile as a per-sample walk over a dict of bin sums.
+
+    One break per sample: ``calibdist.interval._shift_profile`` returns this
+    walk at the last event of each tie group (``shift_profile_at_group_ends``),
+    up to the order residuals are added in.
+    """
+    r = dist.residuals()
+    q, rho, order = _walk_order(dist, width)
     rho = rho[order]
     q_sorted = q[order]
     res_sorted = r[order]
@@ -96,6 +102,33 @@ def shift_profile_loop(dist: EmpiricalDistribution, width: float):
         total += abs(bins[qi]) + abs(bins[lo])
         values[i + 1] = total
     return rho, values / n
+
+
+def shift_profile_at_group_ends(dist: EmpiricalDistribution, width: float):
+    """``shift_profile_loop`` at the last event of each run of equal v (-0.0 == 0.0).
+
+    The samples of one value share (q, rho), so they are one run of the
+    walk's events; the pieces inside a run have length zero.
+    """
+    breaks, values = shift_profile_loop(dist, width)
+    v = dist.v[_walk_order(dist, width)[2]]
+    ends = np.flatnonzero(np.append(v[1:] != v[:-1], True))
+    return breaks[ends], np.append(values[0], values[ends + 1])
+
+
+def rintce_hat_loop(dist: EmpiricalDistribution, width: float, shifts_m: int,
+                    rng: SeededRng) -> float:
+    """``rintce_hat`` on the per-sample walk: one multinomial count per sample piece."""
+    breaks, values = shift_profile_loop(dist, width)
+    counts = rng.multinomial(shifts_m, np.diff(np.concatenate([[0.0], breaks, [width]])) / width)
+    return float(np.sum(values * counts) / shifts_m)
+
+
+def sintce_hat_loop(dist: EmpiricalDistribution, epsilon: float, shifts_m: int,
+                    rng: SeededRng) -> float:
+    """``sintce_hat`` on the per-sample walk, with the same substream per width."""
+    return min(rintce_hat_loop(dist, 2.0**-k, shifts_m, rng.substream(k)) + 2.0**-k
+               for k in range(width_exponent(epsilon) + 1))
 
 
 def intce_small_support(dist: EmpiricalDistribution) -> float:

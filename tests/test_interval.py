@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from calibdist import (
     BadConfig,
     BadWidth,
+    EmpiricalDistribution,
     IntervalEstimatorConfig,
     SeededRng,
     TooLarge,
@@ -19,9 +20,10 @@ from calibdist import (
     sintce_exact,
     sintce_hat,
 )
-from calibdist.interval import _shift_profile, default_shifts, width_exponent
+from calibdist.interval import _group, _shift_profile, default_shifts, width_exponent
 
-from _oracles import (BLAS_PROBE_DIST, random_distribution, rintce_mc_direct, shift_profile_loop,
+from _oracles import (BLAS_PROBE_DIST, random_distribution, rintce_hat_loop, rintce_mc_direct,
+                      shift_profile_at_group_ends, shift_profile_loop, sintce_hat_loop,
                       stdout_per_blas_threads)
 
 # Predictions on a 1e-3 grid (ties, as in quantized files), on a 1e-6 grid,
@@ -94,12 +96,15 @@ def test_rintce_matches_direct_monte_carlo():
 
 
 def test_zero_length_pieces_are_never_drawn():
-    # A tie group's breaks are equal, so the profile values between them sit
-    # on pieces of length 0: here 5/12 between the two breaks at 0.25.
-    d = make_empirical([(0.25, 1), (0.25, 0), (0.75, 1)])
-    breaks, values = _shift_profile(d, 0.5)
-    assert breaks.tolist() == [0.25] * 3 and values[1] == pytest.approx(5 / 12, abs=1e-15)
-    assert {rintce_hat(d, 0.5, 1, SeededRng(seed)) for seed in range(300)} == {0.25}
+    # 0.25 and 0.75 cross at the same shift 0.25, so the profile value
+    # between their two breaks, 1.4/3 with all three samples apart, sits on a
+    # piece of length 0; the pieces of positive length hold 0.2 and 0.3.
+    d = make_empirical([(0.25, 1), (0.4, 0), (0.75, 1)])
+    breaks, values = _shift_profile(*_group(d), d.n, 0.5)
+    assert breaks.tolist() == [0.25, 0.25, 0.4]
+    assert values.tolist() == pytest.approx([0.2, 1.4 / 3, 0.3, 0.2], abs=1e-15)
+    drawn = {rintce_hat(d, 0.5, 1, SeededRng(seed)) for seed in range(300)}
+    assert values[2] in drawn and drawn <= {values[0], values[2], values[3]}
 
 
 def test_rintce_hat_converges_to_exact():
@@ -260,6 +265,19 @@ _profile_samples = st.one_of(
 _profile_width = st.sampled_from([2.0**-k for k in range(12)] + [0.3, 0.17, 1 / 3, 2.0**-30])
 
 
+# The grouped profile sums each value's residuals as ones - count * u and a
+# bin's values in sorted order, the walk sample by sample in input order, so
+# the values differ by round-off; the breaks are equal.
+_PROFILE_TOL = 1e-14
+
+
+def _assert_matches_loop(d, width):
+    want_breaks, want_values = shift_profile_at_group_ends(d, width)
+    breaks, values = _shift_profile(*_group(d), d.n, width)
+    assert len(breaks) == len(want_breaks) and (breaks == want_breaks).all()
+    assert np.abs(values - want_values).max() <= _PROFILE_TOL
+
+
 @_fuzz
 @given(_profile_samples, _profile_width)
 @example([(0.5, 1)], 1.0)  # n = 1
@@ -270,31 +288,62 @@ _profile_width = st.sampled_from([2.0**-k for k in range(12)] + [0.3, 0.17, 1 / 
 @example([(-0.0, 1), (0.0, 0), (-0.0, 0), (0.5, 1), (0.0, 1)], 0.25)  # signed zeros, rho ties
 @example([(k / 1000, k % 2) for k in range(0, 1001, 7)] * 3, 2.0**-9)
 @example([(float(np.nextafter(1.0, 0.0)), 1), (1.0, 0), (0.5, 1), (2 / 3, 0)], 1 / 3)  # drift
-def test_shift_profile_matches_loop_bitwise(samples, width):
-    # Also with the prediction order passed in, as _sintce shares it across
-    # widths: a stable argsort of rho in that order is the walk's lexsort.
-    d = make_empirical(samples)
-    want_breaks, want_values = shift_profile_loop(d, width)
-    for by_v in (None, np.argsort(d.v, kind="stable")):
-        breaks, values = _shift_profile(d, width, by_v)
-        assert breaks.tobytes() == want_breaks.tobytes()
-        assert values.tobytes() == want_values.tobytes()
+def test_shift_profile_matches_loop_at_group_ends(samples, width):
+    # One event per distinct prediction: the walk's breaks and values at the
+    # last event of each tie group, with -0.0 and 0.0 one group.
+    _assert_matches_loop(make_empirical(samples), width)
 
 
-def test_shared_order_with_int32_bin_ids():
+def test_int32_bin_ids_match_loop():
     # Bin ids that do not fit int16: at width 2^-16 they are q - min(q) + 1
-    # up to about 2^16 (below 2n, so not compressed); at 2^-17 the compressed
+    # up to about 2^16 (below 2d, so not compressed); at 2^-17 the compressed
     # ids still pass 2^15.
     n = 40_000
     v = np.random.default_rng(28).random(n)
-    assert 2**15 <= np.ptp(np.floor(v * 2**16)) + 1 <= 2 * n
+    assert 2**15 <= np.ptp(np.floor(v * 2**16)) + 1 <= 2 * len(np.unique(v))
     assert len(np.unique(np.floor(v * 2**17))) >= 2**15  # compressed ids reach at least this
     d = make_empirical(list(zip(v, (v > 0.3).astype(int))))
     for width in (2.0**-16, 2.0**-17, 2.0**-11):
-        breaks, values = _shift_profile(d, width, np.argsort(d.v, kind="stable"))
-        want_breaks, want_values = shift_profile_loop(d, width)
-        assert breaks.tobytes() == want_breaks.tobytes()
-        assert values.tobytes() == want_values.tobytes()
+        _assert_matches_loop(d, width)
+
+
+def _same_draws_instances():
+    """Tied at three decimals, full precision, and signed zeros among ties."""
+    rng = np.random.default_rng(29)
+    tied = np.round(rng.random(400), 3)[rng.integers(0, 40, 400)]
+    full = rng.random(300)
+    signed = rng.choice([-0.0, 0.0, 0.25, 0.5, 0.625, 1.0], 200)
+    return [make_empirical(list(zip(v, (rng.random(len(v)) < v).astype(int))))
+            for v in (tied, full, signed)]
+
+
+def test_grouped_draws_match_the_per_sample_walk():
+    # The same multinomial call on the per-sample walk draws the same counts
+    # on every piece of positive length, so the estimates agree to round-off.
+    for d in _same_draws_instances():
+        for seed in range(5):
+            for width in (1.0, 0.25, 2.0**-6, 0.3):
+                assert abs(rintce_hat(d, width, 1000, SeededRng(seed))
+                           - rintce_hat_loop(d, width, 1000, SeededRng(seed))) <= 1e-15
+            cfg = IntervalEstimatorConfig(epsilon=0.02, shifts_m=5000, rng=SeededRng(seed))
+            want = sintce_hat_loop(d, 0.02, 5000, SeededRng(seed))
+            assert abs(sintce_hat(d, cfg) - want) <= 1e-15
+
+
+def test_sintce_exact_memory_is_per_distinct_value():
+    # 10^5 rows on 1,001 values: the grouping sorts n pairs once, and every
+    # per-width array is d-long (a per-sample sweep peaked at 10.5 MiB).
+    rng = np.random.default_rng(30)
+    v = np.round(rng.random(100_000), 3)
+    d = EmpiricalDistribution(v, (rng.random(100_000) < v).astype(np.int8))
+    assert len(np.unique(v)) == 1001
+    tracemalloc.start()
+    try:
+        sintce_exact(d, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_tiny_widths_raise_bad_width():
@@ -315,13 +364,15 @@ def test_tiny_widths_raise_bad_width():
 @given(_samples, st.integers(2, 4), _width, st.data())
 def test_exact_interval_errors_invariant_under_permutation_and_repetition(
         samples, k, width, data):
-    # Within a tie group the sums follow input order, so only to round-off.
+    # The grouping reads only the sorted pairs, so a permutation keeps every
+    # bit; repetition scales the residual sums, so only to round-off.
     d = make_empirical(samples)
     rint, sint = rintce_exact(d, width), sintce_exact(d, 0.05)
-    for changed in (data.draw(st.permutations(samples)), samples * k):
-        c = make_empirical(changed)
-        assert abs(rintce_exact(c, width) - rint) <= 1e-12
-        assert abs(sintce_exact(c, 0.05) - sint) <= 1e-12
+    c = make_empirical(data.draw(st.permutations(samples)))
+    assert (rintce_exact(c, width), sintce_exact(c, 0.05)) == (rint, sint)
+    c = make_empirical(samples * k)
+    assert abs(rintce_exact(c, width) - rint) <= 1e-12
+    assert abs(sintce_exact(c, 0.05) - sint) <= 1e-12
 
 
 def test_rintce_exact_bits_independent_of_blas_threads():

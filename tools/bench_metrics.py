@@ -1,0 +1,124 @@
+"""Time each metric's public API on one source tree and write ``BENCH_<label>.json``.
+
+    python3 tools/bench_metrics.py --src <tree>/src --label L
+
+The tree's ``calibdist`` is imported in this interpreter, with ``<tree>/src``
+first on ``sys.path``.  Inputs are dbeta rows (beta 1, seed 1, labels drawn
+with probability f) at 10^4, 10^5 and 10^6 rows, once at full precision and
+once rounded to three decimals; numpy makes them, so both trees time the
+same rows.  Each metric runs as ``calib measure --metrics all`` runs it with
+its default options, and its time is the minimum of three calls.  The file
+also records the machine (cpu count, Python, numpy and scipy versions, the
+BLAS thread variables and ``/proc/loadavg`` before and after) and the line
+count of ``<tree>/src/calibdist/*.py``.  It is written into ``tools/``.
+
+Two trees are compared by running them alternately in one session, e.g. a
+``git archive`` copy of the parent commit and the working tree:
+
+    git archive HEAD | tar -x -C /tmp/parent
+    OPENBLAS_NUM_THREADS=1 python3 tools/bench_metrics.py --src /tmp/parent/src --label parent
+    OPENBLAS_NUM_THREADS=1 python3 tools/bench_metrics.py --src src --label change
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SIZES = (10_000, 100_000, 1_000_000)
+DECIMALS = (None, 3)  # None keeps full precision
+REPEATS = 3
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _loadavg() -> str:
+    try:
+        return Path("/proc/loadavg").read_text().strip()
+    except OSError:
+        return "unavailable"
+
+
+def _machine() -> dict:
+    import scipy
+
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas_env": {k: os.environ.get(k) for k in BLAS_ENV},
+            "platform": platform.platform()}
+
+
+def _rows(n: int, decimals: int | None) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(1)
+    f = rng.random(n)
+    y = (rng.random(n) < f).astype(np.int8)
+    v = 1.0 / (1.0 + np.exp(-(np.log(f) - np.log1p(-f))))  # dbeta at beta 1
+    return (v if decimals is None else np.round(v, decimals)), y
+
+
+def _metrics(cd):
+    """(name, call) per metric of ``calib measure --metrics all``, with its defaults."""
+    from calibdist.cli import LDCE_EPS1, LDCE_EPS2, METRIC_NAMES
+
+    def rng(name):
+        return cd.SeededRng(0).substream(METRIC_NAMES.index(name))
+
+    def kce(kind, name):
+        return lambda d: cd.kce_estimate_squared(d, kind, cd.KernelEstimatorConfig(rng=rng(name)))
+
+    return [
+        ("ece", cd.ece),
+        ("binned-ece", lambda d: cd.binned_ece(d, cd.uniform_partition(20))),
+        ("binned-ece-w", lambda d: cd.binned_ece(d, cd.uniform_partition(20), width_penalty=True)),
+        ("sintce", lambda d: cd.sintce_hat(
+            d, cd.IntervalEstimatorConfig(epsilon=0.01, rng=rng("sintce")))),
+        ("smce", cd.smce),
+        ("ldce", lambda d: cd.ldce(d, LDCE_EPS1, LDCE_EPS2)),
+        ("kce-laplace", kce(cd.KernelKind.LAPLACE, "kce-laplace")),
+        ("kce-gaussian", kce(cd.KernelKind.GAUSSIAN, "kce-gaussian")),
+    ]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, help="the tree's src directory")
+    ap.add_argument("--label", required=True, help="output name: BENCH_<label>.json")
+    args = ap.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import calibdist as cd
+
+    out = {"label": args.label, "machine": _machine(), "loadavg_before": _loadavg(),
+           "src_lines": sum(len(p.read_text().splitlines())
+                            for p in sorted((src / "calibdist").glob("*.py"))),
+           "repeats": REPEATS, "times": []}
+    for n in SIZES:
+        for decimals in DECIMALS:
+            v, y = _rows(n, decimals)
+            dist = cd.EmpiricalDistribution(v, y)
+            distinct = len(np.unique(v))
+            for name, call in _metrics(cd):
+                runs = []
+                for _ in range(REPEATS):
+                    start = time.perf_counter()
+                    call(dist)
+                    runs.append(time.perf_counter() - start)
+                row = {"metric": name, "n": n, "decimals": decimals, "distinct": distinct,
+                       "min_s": min(runs), "runs_s": runs}
+                out["times"].append(row)
+                print(json.dumps(row), flush=True)
+    out["loadavg_after"] = _loadavg()
+    path = Path(__file__).resolve().parent / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n", encoding="ascii")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
