@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, check_bins, distinct_predictions, readonly
+from .core import EmpiricalDistribution, check_bins, readonly
 from .errors import BadBins
 
 __all__ = ["IntervalPartition", "ece", "binned_ece", "uniform_partition"]
@@ -64,9 +64,8 @@ def ece(dist: EmpiricalDistribution) -> float:
     Distinctness is bitwise equality of the stored float64 predictions,
     except that -0.0 and 0.0 count as one value.
     """
-    values, counts, ones = distinct_predictions(dist)
-    mean_y = ones / counts
-    return float(np.sum(counts * np.abs(mean_y - values)) / dist.n)
+    u, count, ones, _ = dist.grouped()
+    return float(np.sum(count * np.abs(ones / count - u)) / dist.n)
 
 
 def binned_ece(
@@ -76,17 +75,18 @@ def binned_ece(
 ) -> float:
     """Binned ECE over the given partition, optionally plus the average width.
 
-    The base value is sum_j |mean[(v - y) 1(v in I_j)]|.  With the penalty the
+    The base value is sum_j |mean[(y - v) 1(v in I_j)]|.  With the penalty the
     mass-weighted average interval width sum_j mean[1(v in I_j) w(I_j)] is
     added, making the result an upper bound on the post-processing distance
-    to calibration.
+    to calibration.  Both sum ``dist.grouped()``'s R and counts per bin, so
+    any order of the samples gives the same bits.
     """
-    idx = part.bin_index(dist.v)
-    residual = dist.v - dist.y.astype(float)
-    per_bin = np.bincount(idx, weights=residual, minlength=part.m)
+    u, count, _, R = dist.grouped()
+    idx = part.bin_index(u)
+    per_bin = np.bincount(idx, weights=R, minlength=part.m)
     value = float(np.abs(per_bin).sum() / dist.n)
     if width_penalty:
-        mass = np.bincount(idx, minlength=part.m) / dist.n
+        mass = np.bincount(idx, weights=count, minlength=part.m) / dist.n
         # np.sum, not the BLAS dot mass @ widths, whose last bits follow the thread count
         value += float(np.sum(mass * part.widths()))
     return value

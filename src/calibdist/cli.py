@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,7 +207,7 @@ def _compute_metric(name: str, dist: EmpiricalDistribution, args, seed_root: See
         entry["config"] = {}
     elif name == "ldce":
         entry["value"] = ldce(dist, LDCE_EPS1, LDCE_EPS2)
-        entry["config"] = {"eps1": LDCE_EPS1, "eps2": LDCE_EPS2, "form": "dual"}
+        entry["config"] = {"eps1": LDCE_EPS1, "eps2": LDCE_EPS2}
         entry["caveats"].append(
             f"discretization slack <= {LDCE_EPS1 + 2 * LDCE_EPS2:g}; "
             "sample estimate carries O(n^-1/2) statistical error"
@@ -342,6 +341,8 @@ def cmd_sweep(args) -> int:
         for trial in range(args.trials)
     ]
     if args.jobs > 1:
+        # imported here, so that a CLI start without a pool does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_cell, tasks))
     else:

@@ -29,10 +29,11 @@ class EmpiricalDistribution:
     """Ordered multiset of (v, y) pairs, each carrying uniform weight 1/n.
 
     Samples keep their insertion order.  The backing arrays are read-only;
-    treat instances as values.
+    treat instances as values.  Every exact metric but the reliability
+    summary reads the samples through the cached view ``grouped()``.
     """
 
-    __slots__ = ("_v", "_y")
+    __slots__ = ("_v", "_y", "_grouped")
 
     def __init__(self, v: np.ndarray, y: np.ndarray):
         v = np.asarray(v, dtype=np.float64)
@@ -54,6 +55,7 @@ class EmpiricalDistribution:
         y.setflags(write=False)
         self._v = v
         self._y = y
+        self._grouped = None
 
     @property
     def v(self) -> np.ndarray:
@@ -87,6 +89,19 @@ class EmpiricalDistribution:
     def residuals(self) -> np.ndarray:
         """y - v per sample; the basic miscalibration signal."""
         return self._y.astype(np.float64) - self._v
+
+    def grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(u, count, ones, R): the samples grouped by prediction, read-only arrays.
+
+        u: the sorted distinct predictions (-0.0 and 0.0 one value); count:
+        samples at each; ones: their label-1 count, an exact float64 sum; R =
+        ones - count * u: their summed residual.  Built by one sort on the
+        first call and kept: the samples never change, so the view cannot go
+        stale, and threads racing to build it can only store equal arrays.
+        """
+        if self._grouped is None:
+            self._grouped = distinct_predictions(self)
+        return self._grouped
 
 
 class SeededRng:
@@ -185,12 +200,15 @@ def sorted_pairs(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
     return key.view(np.float64), y
 
 
-def distinct_predictions(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, counts, ones): sorted distinct predictions (-0.0 and 0.0 one value),
-    their sample counts and label-1 counts, the last as exact float64 sums."""
+def distinct_predictions(dist: EmpiricalDistribution):
+    """``EmpiricalDistribution.grouped``'s builder, from one ``sorted_pairs`` sort."""
     v, y = sorted_pairs(dist)
     heads = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    return v[heads], np.diff(heads, append=dist.n), np.add.reduceat(y, heads)
+    u, count, ones = v[heads], np.diff(heads, append=dist.n), np.add.reduceat(y, heads)
+    view = (u, count, ones, ones - count * u)
+    for column in view:
+        column.setflags(write=False)
+    return view
 
 
 def readonly(values) -> np.ndarray:

@@ -5,10 +5,10 @@ is piecewise constant in r with at most one breakpoint per distinct
 prediction (the shift at which its samples cross into the previous bin).
 Both the Monte Carlo estimator and the exact expectation over shifts are
 evaluated on that profile, which a sorted event sweep over the d distinct
-predictions builds in O(d log d) numpy operations per width.  One sort of the
-(v, y) pairs per call, shared by every width of ``sintce_hat`` and
-``sintce_exact``, groups the samples into the sorted distinct predictions and
-the summed residual of each.  The Monte Carlo mean over m shifts r ~ Unif[0,
+predictions builds in O(d log d) numpy operations per width.  It reads the
+sorted distinct predictions and the summed residual of each from
+``dist.grouped()``, built by one sort per distribution and shared by every
+width and every other metric.  The Monte Carlo mean over m shifts r ~ Unif[0,
 width) depends on the shifts only through how many land on each piece, and
 those counts are one Multinomial(m, piece length / width) draw.  So the
 estimator samples the counts, in O(pieces) and not O(m): the same
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, SeededRng, distinct_predictions
+from .core import EmpiricalDistribution, SeededRng
 from .errors import BadConfig, BadWidth, TooLarge
 
 __all__ = [
@@ -74,19 +74,10 @@ class IntervalEstimatorConfig:
         return self.shifts_m if self.shifts_m is not None else default_shifts(self.epsilon)
 
 
-def _group(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """(u, R): the sorted distinct predictions and the summed residual of each.
-
-    R = ones - count * u takes two roundings, whatever the input order.
-    """
-    u, count, ones = distinct_predictions(dist)
-    return u, ones - count * u
-
-
 def _shift_profile(u: np.ndarray, R: np.ndarray, n: int, width: float):
     """Breakpoints and piece values of r -> sum_j |mean[(y-v) 1(v in I_{r,j})]|.
 
-    Takes the grouped samples of ``_group`` and the sample count n.  Bin j at
+    Takes u and R of ``dist.grouped()`` and the sample count n.  Bin j at
     shift r is [r + j*width, r + (j+1)*width); value v sits in bin
     floor((v - r)/width), which drops by one exactly when r exceeds v mod
     width.  Returns (breaks, values) with len(values) = len(breaks) + 1 =
@@ -212,7 +203,7 @@ def _draws_mean(breaks: np.ndarray, values: np.ndarray, width: float, shifts_m: 
 
 def rintce_exact(dist: EmpiricalDistribution, width: float) -> float:
     """Exact expectation over the uniform shift r ~ Unif[0, width)."""
-    u, R = _group(dist)
+    u, _, _, R = dist.grouped()
     _check_width(float(u[-1]), width)
     return _profile_mean(*_shift_profile(u, R, dist.n, width), width)
 
@@ -224,7 +215,7 @@ def rintce_hat(
     rng: SeededRng,
 ) -> float:
     """Average of the shifted binned error over shifts_m uniform draws of r."""
-    u, R = _group(dist)
+    u, _, _, R = dist.grouped()
     _check_width(float(u[-1]), width)
     shifts_m = _shift_count(shifts_m)
     return _draws_mean(*_shift_profile(u, R, dist.n, width), width, shifts_m, rng)
@@ -232,12 +223,11 @@ def rintce_hat(
 
 def _sintce(dist: EmpiricalDistribution, epsilon: float, shifts_m: int | None,
             rng: SeededRng | None) -> float:
-    u, R = _group(dist)  # once for every width
-    top = float(u[-1])
+    u, _, _, R = dist.grouped()
     best = math.inf
     for k in range(width_exponent(epsilon) + 1):
         width = 2.0**-k
-        _check_width(top, width)
+        _check_width(float(u[-1]), width)
         # no name holds a profile, so none outlives its width
         if shifts_m is None:
             est = _profile_mean(*_shift_profile(u, R, dist.n, width), width)

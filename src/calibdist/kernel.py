@@ -1,12 +1,14 @@
 """Kernel calibration error for the Laplace and Gaussian kernels.
 
 The squared error is the quadratic form mean_{i,j} r_i r_j K(v_i, v_j) with
-r = y - v.  Exact evaluation avoids the n^2 loop through algebraic identities
-specific to each kernel on the line (verified against the direct quadratic
-form in the tests):
+r = y - v, which is sum_{a,b} R_a R_b K(u_a, u_b) / n^2 over the d grouped
+predictions u and summed residuals R of ``dist.grouped()``.  Every estimator
+but subsample reads that view and divides by the sample count n.  Exact
+evaluation avoids the d^2 loop through algebraic identities specific to each
+kernel on the line (verified against the direct quadratic form in the tests):
 
 * Laplace exp(-|u-v|) factors as exp(-u) exp(v) once the values are sorted,
-  so a prefix sum gives the exact value in O(n log n).
+  so a prefix sum gives the exact value in O(d).
 * Gaussian exp(-(u-v)^2) = exp(-u^2) exp(-v^2) sum_k (2uv)^k / k!; with
   v in [0, 1] the series is a sum of squares that reaches machine precision
   after ~48 terms.
@@ -14,7 +16,7 @@ form in the tests):
 Randomized estimators of the squared error for the Laplace kernel:
 
 * subsample: average of M uniformly-with-replacement sampled terms (any kind);
-* fourier: |sum_j r_j e^{-i omega v_j}|^2 / n^2 with omega ~ Cauchy(1),
+* fourier: |sum_a R_a e^{-i omega u_a}|^2 / n^2 with omega ~ Cauchy(1),
   sampled as tan(pi (U - 1/2)) and realized with cosine and sine accumulators;
 * binning: sum of squared per-bin residual sums / n^2, with bin width
   delta ~ Gamma(2, 1) sampled as -ln U1 - ln U2 and shift tau ~ Unif[0, delta).
@@ -45,7 +47,7 @@ __all__ = [
 
 _GAUSS_SERIES_TERMS = 48
 _REP_BATCH = 4096  # fixed batching keeps results bit-identical across machines
-_CHUNK_CELLS = 1 << 20  # rows * n per block of fourier and binning arithmetic
+_CHUNK_CELLS = 1 << 20  # rows * d per block of fourier and binning arithmetic
 # subsample holds i, j, r[i], r[j], v[i], v[j] and the kernel values per term
 _SUBSAMPLE_BYTES_PER_TERM = 7 * 8
 
@@ -89,22 +91,14 @@ def default_reps(target_eps: float = 0.1) -> int:
     return math.ceil(10.0 / target_eps**2)
 
 
-def _canonical(dist: EmpiricalDistribution):
-    # (v, y)-lexicographic order makes the result invariant to permutations
-    # of the input, bit for bit.
-    v, y = sorted_pairs(dist)
-    y -= v  # in place: the residuals r = y - v
-    return v, y
-
-
-def _kce2_laplace(v: np.ndarray, r: np.ndarray) -> float:
+def _kce2_laplace(v: np.ndarray, r: np.ndarray, n: int) -> float:
     prefix = np.cumsum(r * np.exp(v))
     s = float(np.sum(r * np.exp(-v) * prefix))
     # np.sum, not the BLAS dot r @ r, whose last bits follow the thread count
-    return (2.0 * s - float(np.sum(r * r))) / len(v) ** 2
+    return (2.0 * s - float(np.sum(r * r))) / n**2
 
 
-def _kce2_gaussian(v: np.ndarray, r: np.ndarray) -> float:
+def _kce2_gaussian(v: np.ndarray, r: np.ndarray, n: int) -> float:
     w = r * np.exp(-v * v)
     total = 0.0
     vk = np.ones_like(v)
@@ -115,29 +109,28 @@ def _kce2_gaussian(v: np.ndarray, r: np.ndarray) -> float:
         sk = float(np.sum(np.multiply(w, vk, out=buf)))
         total += 2**k / math.factorial(k) * sk * sk  # int / int: correctly rounded
         np.multiply(vk, v, out=vk)
-    return total / len(v) ** 2
+    return total / n**2
 
 
 def kce_exact(dist: EmpiricalDistribution, kind: KernelKind,
               max_n: int | None = None) -> float:
     """Exact kernel calibration error sqrt(mean_{i,j} r_i r_j K(v_i, v_j)).
 
-    O(n log n) for both kernels; ``max_n`` is an optional caller-chosen size
+    O(d) for both kernels on the grouped samples; ``max_n`` is an optional size
     limit (None: no limit).  The quadratic form is positive semidefinite; tiny
     negative round-off (>= -1e-12) is clamped to zero before the square root.
     """
     if max_n is not None and dist.n > max_n:
         raise TooLarge(f"kce_exact capped at n = {max_n}, got {dist.n}")
     kind = KernelKind(kind)
-    v, r = _canonical(dist)
-    sq = _kce2_laplace(v, r) if kind is KernelKind.LAPLACE else _kce2_gaussian(v, r)
+    u, _, _, R = dist.grouped()
+    sq = (_kce2_laplace if kind is KernelKind.LAPLACE else _kce2_gaussian)(u, R, dist.n)
     return math.sqrt(max(sq, 0.0))
 
 
-def _fourier_draws(v, r, reps, rng: SeededRng) -> np.ndarray:
-    n = len(v)
+def _fourier_draws(v, r, n: int, reps, rng: SeededRng) -> np.ndarray:
     out = np.empty(reps)
-    rows = max(1, _CHUNK_CELLS // n)
+    rows = max(1, _CHUNK_CELLS // len(v))
     for start in range(0, reps, _REP_BATCH):
         stop = min(start + _REP_BATCH, reps)
         omega = np.tan(np.pi * (rng.random(stop - start) - 0.5))
@@ -156,8 +149,7 @@ def _fourier_draws(v, r, reps, rng: SeededRng) -> np.ndarray:
     return out
 
 
-def _binning_draws(v, r, reps, rng: SeededRng) -> np.ndarray:
-    n = len(v)
+def _binning_draws(v, r, n: int, reps, rng: SeededRng) -> np.ndarray:
     out = np.empty(reps)
     for start in range(0, reps, _REP_BATCH):
         stop = min(start + _REP_BATCH, reps)
@@ -169,9 +161,9 @@ def _binning_draws(v, r, reps, rng: SeededRng) -> np.ndarray:
         delta = np.maximum(-np.log(u1) - np.log(u2), 1e-12)
         tau = delta * rng.random(b)
         # Rows of at most _CHUNK_CELLS cells: repetitions are independent and
-        # each one's bin sums accumulate in sample order in any chunk, so the
-        # chunk size leaves the bits alone.
-        rows = max(1, _CHUNK_CELLS // n)
+        # each one's bin sums accumulate in the order of v in any chunk, so
+        # the chunk size leaves the bits alone.
+        rows = max(1, _CHUNK_CELLS // len(v))
         for lo in range(0, b, rows):
             hi = min(lo + rows, b)
             t = np.floor((v[None, :] + tau[lo:hi, None]) / delta[lo:hi, None]).astype(np.int64)
@@ -204,7 +196,9 @@ def kce_estimate_squared(dist: EmpiricalDistribution, kind: KernelKind,
         if _SUBSAMPLE_BYTES_PER_TERM * m > MAX_DRAW_BYTES:
             raise TooLarge(f"{m} subsample terms need {_SUBSAMPLE_BYTES_PER_TERM * m} bytes "
                            f"of working arrays, above the {MAX_DRAW_BYTES} byte cap")
-        v, r = _canonical(dist)
+        # it draws sample indices, so it stays per sample, in canonical order
+        v, r = sorted_pairs(dist)
+        r -= v  # in place: the residuals y - v
         i = rng.integers(0, n, m)
         j = rng.integers(0, n, m)
         return float(np.mean(r[i] * r[j] * kind.evaluate(v[i], v[j])))
@@ -212,10 +206,9 @@ def kce_estimate_squared(dist: EmpiricalDistribution, kind: KernelKind,
     if 8 * reps > MAX_DRAW_BYTES:
         raise TooLarge(f"{reps} repetitions need {8 * reps} bytes of float64, "
                        f"above the {MAX_DRAW_BYTES} byte cap")
-    v, r = _canonical(dist)
-    if cfg.mode == "fourier":
-        return float(_fourier_draws(v, r, reps, rng).mean())
-    return float(_binning_draws(v, r, reps, rng).mean())
+    u, _, _, R = dist.grouped()
+    draws = _fourier_draws if cfg.mode == "fourier" else _binning_draws
+    return float(draws(u, R, n, reps, rng).mean())
 
 
 def kce_estimate(dist: EmpiricalDistribution, kind: KernelKind,

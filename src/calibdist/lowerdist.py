@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, readonly, round_to_grid, sorted_pairs
+from .core import EmpiricalDistribution, readonly
 from .errors import BadEps, SolverFailure
 
 __all__ = ["Grid", "DualSolution", "ldce", "ldce_dual_solution"]
@@ -104,17 +104,19 @@ def _check_eps(eps1: float, eps2: float) -> None:
 
 
 def _discretize(dist: EmpiricalDistribution, eps1: float, eps2: float):
-    rounded = round_to_grid(dist, eps1)
-    # group identical (v, y) pairs without arithmetic on v so the support
-    # values stay bitwise equal to grid points
-    vs, ys = sorted_pairs(rounded)
-    new_v = np.concatenate(([True], vs[1:] != vs[:-1]))
-    heads = np.flatnonzero(np.concatenate(([True], new_v[1:] | (ys[1:] != ys[:-1]))))
-    support_v = vs[heads]
-    support_y = ys[heads].astype(np.int64)
-    gamma = np.diff(heads, append=rounded.n) / rounded.n
-    grid = refine_grid(vs[new_v], eps2)  # the distinct rounded values, sorted
-    return grid.points, support_v, support_y, gamma
+    u, count, ones, _ = dist.grouped()
+    # round_to_grid's rounding is monotone: the rounded values stay sorted and
+    # merge with no sort and no arithmetic on v, so the support values stay
+    # bitwise equal to grid points; gamma is integer counts / n
+    rounded = np.minimum(np.floor(u / eps1 + 0.5) * eps1, 1.0)
+    heads = np.flatnonzero(np.concatenate(([True], rounded[1:] != rounded[:-1])))
+    values = rounded[heads]  # the distinct rounded values, sorted
+    ones = np.add.reduceat(ones, heads)
+    counts = np.column_stack((np.add.reduceat(count, heads) - ones, ones)).ravel()
+    pair = counts > 0  # the support pairs (value, 0) and (value, 1), alternating
+    support_v = np.repeat(values, 2)[pair]
+    support_y = np.tile(np.arange(2, dtype=np.int64), len(values))[pair]
+    return refine_grid(values, eps2).points, support_v, support_y, counts[pair] / dist.n
 
 
 def ldce_dual_solution(dist: EmpiricalDistribution, eps1: float = 0.005,

@@ -1,8 +1,9 @@
 """Smooth calibration error: maximization over bounded 1-Lipschitz weights.
 
 On an empirical distribution the supremum is a finite program.  Equal
-predictions share a weight, so duplicates are merged into one variable with
-the summed coefficient, and on sorted distinct values the Lipschitz
+predictions share a weight, so the program has one variable per distinct
+prediction, with coefficient R / n from ``dist.grouped()`` (the summed
+residual of the value's samples), and on sorted distinct values the Lipschitz
 constraints between adjacent points imply all pairwise ones by telescoping.
 The remaining path-structured program is solved exactly in O(d log d) by a
 dynamic program over the convex conjugate of its value function (Hu,
@@ -47,13 +48,6 @@ class WeightVector:
             raise ValueError("weights must lie in [-1, 1]")
         if not np.all(np.abs(np.diff(z)) <= np.diff(values)):
             raise ValueError("weights must be 1-Lipschitz across adjacent values")
-
-
-def _merged_coefficients(dist: EmpiricalDistribution):
-    """Distinct sorted values and per-value coefficients mean[(y - v) 1(v_i = v)]."""
-    values, inverse = np.unique(dist.v, return_inverse=True)
-    coef = np.bincount(inverse, weights=dist.residuals(), minlength=len(values)) / dist.n
-    return values, coef
 
 
 def _chain_dp(values: np.ndarray, coef: np.ndarray):
@@ -142,7 +136,8 @@ def smce(dist: EmpiricalDistribution) -> tuple[float, WeightVector]:
     The value is nonnegative because z = 0 is feasible and the weight class
     is symmetric under negation; it is computed from the returned witness.
     """
-    values, coef = _merged_coefficients(dist)
+    values, _, _, R = dist.grouped()
+    coef = R / dist.n
     z, _, _ = _chain_dp(values, coef)
     gaps = np.diff(values).tolist()
     # Backwards from the last value, each weight is its peak clipped to [-1, 1]

@@ -24,6 +24,7 @@ from calibdist.core import EmpiricalDistribution, SeededRng, round_to_grid
 from calibdist.errors import BadConfig, TooLarge
 from calibdist.interval import width_exponent
 from calibdist.lowerdist import _check_eps, _discretize, ldce_dual_solution
+from calibdist.smooth import _chain_dp
 
 _FULL_PAIRWISE_CAP = 500
 
@@ -303,19 +304,13 @@ def sorted_pairs_lexsort(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.nd
     return dist.v[order] + 0.0, dist.y[order].astype(np.float64)
 
 
-def kce_exact_lexsort(dist: EmpiricalDistribution, kind: str) -> float:
-    """``kce_exact`` on a lexsort gather, the Gaussian series with fresh arrays per term.
-
-    The packed-key sort and the in-place series in ``calibdist.kernel`` must
-    return these bits.
-    """
-    order = np.lexsort((dist.y, dist.v))
-    v = dist.v[order]
-    r = dist.residuals()[order]
+def _kce_from(v: np.ndarray, r: np.ndarray, n: int, kind: str) -> float:
+    """``kce_exact``'s formulas on sorted values v with weights r, the Gaussian
+    series with fresh arrays per term."""
     if kind == "laplace":
         prefix = np.cumsum(r * np.exp(v))
         s = float(np.sum(r * np.exp(-v) * prefix))
-        sq = (2.0 * s - float(np.sum(r * r))) / len(v) ** 2
+        sq = (2.0 * s - float(np.sum(r * r))) / n**2
     else:
         w = r * np.exp(-v * v)
         total = 0.0
@@ -324,8 +319,74 @@ def kce_exact_lexsort(dist: EmpiricalDistribution, kind: str) -> float:
             sk = float(np.sum(w * vk))
             total += 2**k / math.factorial(k) * sk * sk
             vk = vk * v
-        sq = total / len(v) ** 2
+        sq = total / n**2
     return math.sqrt(max(sq, 0.0))
+
+
+def group_unique(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(u, R) of ``dist.grouped()`` by ``np.unique`` (-0.0 folded into 0.0) and two bincounts."""
+    u, inverse = np.unique(dist.v + 0.0, return_inverse=True)
+    count = np.bincount(inverse, minlength=len(u))
+    ones = np.bincount(inverse, weights=dist.y.astype(np.float64), minlength=len(u))
+    return u, ones - count * u
+
+
+def kce_exact_unique(dist: EmpiricalDistribution, kind: str) -> float:
+    """``kce_exact`` on the ``np.unique`` grouping; the package must return these bits."""
+    u, R = group_unique(dist)
+    return _kce_from(u, R, dist.n, kind)
+
+
+def kce_exact_lexsort(dist: EmpiricalDistribution, kind: str) -> float:
+    """The per-sample form: ``kce_exact``'s formulas over every sample, in lexsort order."""
+    order = np.lexsort((dist.y, dist.v))
+    return _kce_from(dist.v[order], dist.residuals()[order], dist.n, kind)
+
+
+def kce2_longdouble(dist: EmpiricalDistribution, kind: str) -> float:
+    """The squared kernel error by the per-sample formulas in ``np.longdouble``."""
+    order = np.lexsort((dist.y, dist.v))
+    v = dist.v[order].astype(np.longdouble)
+    r = dist.y[order].astype(np.longdouble) - v
+    if kind == "laplace":
+        prefix = np.cumsum(r * np.exp(v))
+        return float((2 * np.sum(r * np.exp(-v) * prefix) - np.sum(r * r)) / dist.n**2)
+    w = r * np.exp(-v * v)
+    total = np.longdouble(0)
+    vk = np.ones_like(v)
+    for k in range(60):
+        sk = np.sum(w * vk)
+        total += np.longdouble(2**k) / np.longdouble(math.factorial(k)) * sk * sk
+        vk = vk * v
+    return float(total / dist.n**2)
+
+
+def binned_ece_per_sample(dist: EmpiricalDistribution, part, width_penalty: bool = False) -> float:
+    """``binned_ece`` with each bin's residuals summed sample by sample, in input order."""
+    idx = part.bin_index(dist.v)
+    per_bin = np.bincount(idx, weights=dist.residuals(), minlength=part.m)
+    value = float(np.abs(per_bin).sum() / dist.n)
+    if width_penalty:
+        value += float(np.sum(np.bincount(idx, minlength=part.m) / dist.n * part.widths()))
+    return value
+
+
+def smce_per_sample(dist: EmpiricalDistribution) -> float:
+    """``smce`` on coefficients summed sample by sample (``np.unique`` and a bincount),
+    then the package's chain DP and the same backward witness pass."""
+    values, inverse = np.unique(dist.v, return_inverse=True)
+    coef = np.bincount(inverse, weights=dist.residuals(), minlength=len(values)) / dist.n
+    z, _, _ = _chain_dp(values, coef)
+    gaps = np.diff(values).tolist()
+    z[-1] = min(max(z[-1], -1.0), 1.0)
+    for j in range(len(z) - 2, -1, -1):
+        nxt, gap = z[j + 1], gaps[j]
+        zj = min(max(z[j], -1.0, nxt - gap), 1.0, nxt + gap)
+        while abs(zj - nxt) > gap:
+            zj = math.nextafter(zj, nxt)
+        z[j] = zj
+    value = float(np.sum(coef * np.array(z)))
+    return value if value > 0.0 else 0.0
 
 
 def discretize_lexsort(dist: EmpiricalDistribution, eps1: float, eps2: float):

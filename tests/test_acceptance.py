@@ -36,7 +36,7 @@ from calibdist import (
     udce_bruteforce,
 )
 from calibdist.cli import main as cli_main
-from calibdist.kernel import _binning_draws, _canonical, _fourier_draws
+from calibdist.kernel import _binning_draws, _fourier_draws
 
 from _oracles import (kernel_identity_check, ldce_both_forms, random_distribution,
                       smce_full_pairwise)
@@ -145,11 +145,11 @@ def test_criterion_5_estimator_unbiasedness():
     start = time.time()
     reps = 10**5
     d = gen_dbeta(SyntheticConfig(beta=3.0, n=100, rng=SeededRng(42)))
-    v, r = _canonical(d)
+    v, _, _, r = d.grouped()
     target = kce_exact(d, KernelKind.LAPLACE) ** 2
     failures = []
     for name, sampler, seed in (("fourier", _fourier_draws, 11), ("binning", _binning_draws, 12)):
-        draws = sampler(v, r, reps, SeededRng(seed))
+        draws = sampler(v, r, d.n, reps, SeededRng(seed))
         if not (np.all(draws >= 0.0) and np.all(draws <= 1.0)):
             failures.append(f"{name}: draws outside [0, 1]")
         tol = 3.0 * draws.std(ddof=1) / math.sqrt(reps)

@@ -1,6 +1,7 @@
-"""The packed-key sort that puts (v, y) pairs in canonical order, and the
-metrics that read that order: differential tests against the lexsort and
-unique oracles, and invariance under permutation and repetition."""
+"""The packed-key sort that puts (v, y) pairs in canonical order, the grouped
+view built from it, and the metrics that read them: differential tests against
+the lexsort, unique and per-sample oracles, and invariance under permutation
+and repetition."""
 
 import numpy as np
 import pytest
@@ -8,18 +9,25 @@ from hypothesis import example, given, settings, strategies as st
 
 from calibdist import (
     IntervalPartition,
+    KernelEstimatorConfig,
     KernelKind,
+    SeededRng,
     binned_ece,
     ece,
+    kce_estimate_squared,
     kce_exact,
     ldce,
     make_empirical,
+    smce,
     uniform_partition,
 )
+from calibdist.cli import _read_samples
 from calibdist.core import sorted_pairs
+from calibdist.kernel import _binning_draws, _fourier_draws
 from calibdist.lowerdist import _discretize
 
-from _oracles import (discretize_lexsort, ece_unique, kce_exact_lexsort, random_distribution,
+from _oracles import (binned_ece_per_sample, discretize_lexsort, ece_unique, kce2_longdouble,
+                      kce_exact_lexsort, kce_exact_unique, random_distribution, smce_per_sample,
                       sorted_pairs_lexsort)
 
 # Any float in [0, 1], the edge values (signed zero, the smallest subnormal,
@@ -62,13 +70,24 @@ def test_sorted_pairs_match_lexsort_gather(samples):
     assert y.tobytes() == y_ref.tobytes()
 
 
+def _assert_kce_matches_oracles(d):
+    """Bitwise on the np.unique grouping; near the per-sample form on the squares' scale."""
+    scale = (np.sum(np.abs(d.residuals())) / d.n) ** 2  # bounds kce^2 and its terms
+    for kind in KernelKind:
+        got = kce_exact(d, kind)
+        assert _hex(got) == _hex(kce_exact_unique(d, kind.value))
+        per_sample = kce_exact_lexsort(d, kind.value)
+        if abs(got**2 - per_sample**2) > 1e-12 * scale:
+            # then the grouped value must be the closer one to a longer-precision value
+            exact = kce2_longdouble(d, kind.value)
+            assert abs(got**2 - exact) <= abs(per_sample**2 - exact)
+
+
 @_fuzz
 @given(_samples)
 @_edge_cases
-def test_kce_exact_matches_lexsort_oracle_bitwise(samples):
-    d = make_empirical(samples)
-    for kind in KernelKind:
-        assert _hex(kce_exact(d, kind)) == _hex(kce_exact_lexsort(d, kind.value))
+def test_kce_exact_matches_grouped_oracle_bitwise(samples):
+    _assert_kce_matches_oracles(make_empirical(samples))
 
 
 @_fuzz
@@ -98,27 +117,64 @@ def test_fast_paths_match_oracles_on_larger_instances():
         v, y = sorted_pairs(d)
         v_ref, y_ref = sorted_pairs_lexsort(d)
         assert v.tobytes() == v_ref.tobytes() and y.tobytes() == y_ref.tobytes()
-        for kind in KernelKind:
-            assert _hex(kce_exact(d, kind)) == _hex(kce_exact_lexsort(d, kind.value))
+        _assert_kce_matches_oracles(d)
         assert _hex(ece(d)) == _hex(ece_unique(d))
         for got, ref in zip(_discretize(d, 0.005, 0.005), discretize_lexsort(d, 0.005, 0.005)):
             assert got.tobytes() == ref.tobytes()
 
 
 _SKEWED = IntervalPartition((0.0, 0.1, 0.15, 0.5, 0.9, 1.0))
+_PARTITIONS = (uniform_partition(10), _SKEWED)
 
-# name -> (metric, bitwise under permutation).  Metrics that sort into the
-# canonical order return the same bits for any input order; binned ECE sums
-# each bin's residuals in input order.
+
+def _assert_near_per_sample_oracles(d):
+    """Grouped metrics within 1e-12 of their per-sample forms, relative to sum|r| / n,
+    which bounds each metric and its residual sums (squared, for the kernel draws)."""
+    scale = np.sum(np.abs(d.residuals())) / d.n
+    for part in _PARTITIONS:
+        for penalty in (False, True):
+            got, want = binned_ece(d, part, penalty), binned_ece_per_sample(d, part, penalty)
+            assert abs(got - want) <= 1e-12 * scale
+    assert abs(smce(d)[0] - smce_per_sample(d)) <= 1e-12 * scale
+    _assert_kce_matches_oracles(d)
+    v, r = sorted_pairs(d)
+    r -= v
+    for mode, draws in (("fourier", _fourier_draws), ("binning", _binning_draws)):
+        cfg = KernelEstimatorConfig(mode=mode, reps_r=40, rng=SeededRng(3))
+        grouped = kce_estimate_squared(d, KernelKind.LAPLACE, cfg)
+        per_sample = draws(v, r, d.n, 40, SeededRng(3)).mean()
+        assert abs(grouped - per_sample) <= 1e-12 * scale**2
+
+
+@_fuzz
+@given(_samples)
+@_edge_cases
+def test_grouped_metrics_near_per_sample_oracles(samples):
+    _assert_near_per_sample_oracles(make_empirical(samples))
+
+
+def test_grouped_metrics_near_per_sample_oracles_on_a_quantized_file(tmp_path):
+    rng = np.random.default_rng(5)
+    v = np.round(rng.random(100_000), 3)
+    y = (rng.random(v.size) < v**1.3).astype(int)
+    path = tmp_path / "quantized.csv"
+    path.write_text("v,y\n" + "".join(f"{a:.3f},{b}\n" for a, b in zip(v, y)))
+    d, _ = _read_samples(str(path))
+    assert len(d.grouped()[0]) == 1001
+    _assert_near_per_sample_oracles(d)
+
+
+# Every metric reads the grouped view or sorts into the canonical order, so
+# any input order gives the same bits.
 _METRICS = {
-    "ece": (ece, True),
-    "binned-ece": (lambda d: binned_ece(d, uniform_partition(10)), False),
-    "binned-ece-skewed": (lambda d: binned_ece(d, _SKEWED), False),
-    "binned-ece-w": (lambda d: binned_ece(d, uniform_partition(10), width_penalty=True), False),
-    "binned-ece-w-skewed": (lambda d: binned_ece(d, _SKEWED, width_penalty=True), False),
-    "kce-laplace": (lambda d: kce_exact(d, KernelKind.LAPLACE), True),
-    "kce-gaussian": (lambda d: kce_exact(d, KernelKind.GAUSSIAN), True),
-    "ldce": (lambda d: ldce(d, 0.05, 0.05), True),
+    "ece": ece,
+    "binned-ece": lambda d: binned_ece(d, uniform_partition(10)),
+    "binned-ece-skewed": lambda d: binned_ece(d, _SKEWED),
+    "binned-ece-w": lambda d: binned_ece(d, uniform_partition(10), width_penalty=True),
+    "binned-ece-w-skewed": lambda d: binned_ece(d, _SKEWED, width_penalty=True),
+    "kce-laplace": lambda d: kce_exact(d, KernelKind.LAPLACE),
+    "kce-gaussian": lambda d: kce_exact(d, KernelKind.GAUSSIAN),
+    "ldce": lambda d: ldce(d, 0.05, 0.05),
 }
 _invariance = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -128,14 +184,10 @@ _invariance = settings(max_examples=60, deadline=None, derandomize=True, databas
 @given(samples=_samples, data=st.data())
 @example(samples=[(0.0, 1), (-0.0, 0), (0.5, 1), (0.5, 0), (1.0, 0)], data=None)
 def test_metric_invariant_under_permutation(name, samples, data):
-    metric, bitwise = _METRICS[name]
+    metric = _METRICS[name]
     value = metric(make_empirical(samples))
     permuted = samples[::-1] if data is None else data.draw(st.permutations(samples))
-    again = metric(make_empirical(permuted))
-    if bitwise:
-        assert _hex(again) == _hex(value)
-    else:
-        assert abs(again - value) <= 1e-12
+    assert _hex(metric(make_empirical(permuted))) == _hex(value)
 
 
 @pytest.mark.parametrize("name", sorted(_METRICS))
@@ -144,6 +196,6 @@ def test_metric_invariant_under_permutation(name, samples, data):
 @example(samples=[(0.3, 1)], k=3)
 @example(samples=[(0.0, 1), (-0.0, 0), (0.5, 1), (1.0, 0)], k=2)
 def test_metric_invariant_under_repetition(name, samples, k):
-    metric, _ = _METRICS[name]
+    metric = _METRICS[name]
     value = metric(make_empirical(samples))
     assert abs(metric(make_empirical(samples * k)) - value) <= 1e-12

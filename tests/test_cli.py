@@ -100,6 +100,8 @@ def scipy_modules():
 
 import calibdist, calibdist.cli
 print(len(scipy_modules()))
+# the process pool is imported by sweep --jobs > 1 only
+print(any(m in sys.modules for m in ("concurrent.futures.process", "multiprocessing")))
 import numpy as np
 from calibdist import IntervalEstimatorConfig, KernelKind, SeededRng
 rng = np.random.default_rng(0)
@@ -120,7 +122,28 @@ def test_import_and_numpy_metrics_load_no_scipy():
     # that the probe would see it
     run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
                          text=True, env=_package_env(), check=True)
-    assert run.stdout.split() == ["0", "0", "True"]
+    assert run.stdout.split() == ["0", "False", "0", "True"]
+
+
+def test_measure_all_sorts_the_pairs_once(tmp_path, monkeypatch):
+    from calibdist import core, kernel
+
+    calls = []
+
+    def counted(dist):
+        calls.append(dist.n)
+        return sorted_pairs(dist)
+
+    sorted_pairs = core.sorted_pairs
+    monkeypatch.setattr(core, "sorted_pairs", counted)
+    monkeypatch.setattr(kernel, "sorted_pairs", counted)
+    src = tmp_path / "d.csv"
+    rng = np.random.default_rng(3)
+    _write_csv(src, [(round(float(v), 3), int(y))
+                     for v, y in zip(rng.random(300), rng.integers(0, 2, 300))])
+    assert main(["measure", "--input", str(src), "--metrics", "all", "--eps", "0.1",
+                 "--output", str(tmp_path / "r.json")]) == 0
+    assert calls == [300]
 
 
 def test_seed_outside_64_bits_is_a_flag_error(tmp_path, capsys):

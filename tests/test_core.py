@@ -64,6 +64,19 @@ def test_distribution_is_immutable():
         d.v[0] = 0.5
 
 
+def test_grouped_view_is_read_only_and_cached():
+    d = make_empirical([(0.5, 1), (0.0, 1), (0.5, 0), (-0.0, 0), (0.5, 1)])
+    view = d.grouped()
+    u, count, ones, R = view
+    assert u.tolist() == [0.0, 0.5] and np.signbit(u).tolist() == [False, False]
+    assert count.tolist() == [2, 3] and ones.tolist() == [1.0, 2.0]
+    assert R.tolist() == [1.0, 0.5]
+    for column in view:
+        with pytest.raises(ValueError):
+            column[0] = 0.25
+    assert d.grouped() is view
+
+
 def test_round_to_grid_examples():
     assert round_to_grid(make_empirical([(0.26, 1)]), 0.25).pairs() == [(0.25, 1)]
     # exact tie goes to the larger grid point

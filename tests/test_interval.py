@@ -20,7 +20,7 @@ from calibdist import (
     sintce_exact,
     sintce_hat,
 )
-from calibdist.interval import _group, _shift_profile, default_shifts, width_exponent
+from calibdist.interval import _shift_profile, default_shifts, width_exponent
 
 from _oracles import (BLAS_PROBE_DIST, random_distribution, rintce_hat_loop, rintce_mc_direct,
                       shift_profile_at_group_ends, shift_profile_loop, sintce_hat_loop,
@@ -100,7 +100,8 @@ def test_zero_length_pieces_are_never_drawn():
     # between their two breaks, 1.4/3 with all three samples apart, sits on a
     # piece of length 0; the pieces of positive length hold 0.2 and 0.3.
     d = make_empirical([(0.25, 1), (0.4, 0), (0.75, 1)])
-    breaks, values = _shift_profile(*_group(d), d.n, 0.5)
+    u, _, _, R = d.grouped()
+    breaks, values = _shift_profile(u, R, d.n, 0.5)
     assert breaks.tolist() == [0.25, 0.25, 0.4]
     assert values.tolist() == pytest.approx([0.2, 1.4 / 3, 0.3, 0.2], abs=1e-15)
     drawn = {rintce_hat(d, 0.5, 1, SeededRng(seed)) for seed in range(300)}
@@ -273,7 +274,8 @@ _PROFILE_TOL = 1e-14
 
 def _assert_matches_loop(d, width):
     want_breaks, want_values = shift_profile_at_group_ends(d, width)
-    breaks, values = _shift_profile(*_group(d), d.n, width)
+    u, _, _, R = d.grouped()
+    breaks, values = _shift_profile(u, R, d.n, width)
     assert len(breaks) == len(want_breaks) and (breaks == want_breaks).all()
     assert np.abs(values - want_values).max() <= _PROFILE_TOL
 

@@ -17,7 +17,7 @@ from calibdist import (
     make_empirical,
 )
 from calibdist import kernel
-from calibdist.kernel import _binning_draws, _canonical, _fourier_draws
+from calibdist.kernel import _binning_draws, _fourier_draws
 
 from _oracles import (kce2_direct, kernel_identity_check, random_distribution,
                       stdout_per_blas_threads)
@@ -128,10 +128,10 @@ def test_estimator_config_validation():
 def test_randomized_draws_unbiased_and_bounded():
     rng = np.random.default_rng(53)
     d = random_distribution(rng, max_n=60)
-    v, r = _canonical(d)
+    v, _, _, r = d.grouped()
     target = kce_exact(d, KernelKind.LAPLACE) ** 2
     for sampler in (_fourier_draws, _binning_draws):
-        draws = sampler(v, r, 20_000, SeededRng(7))
+        draws = sampler(v, r, d.n, 20_000, SeededRng(7))
         assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - target) <= 4 * se + 1e-12
@@ -142,9 +142,9 @@ def test_fourier_mean_on_antipodal_pair():
     d = make_empirical([(0.0, 1), (1.0, 0)])
     target = (1 - math.exp(-1)) / 2
     assert kce_exact(d, KernelKind.LAPLACE) ** 2 == pytest.approx(target, abs=1e-12)
-    v, r = _canonical(d)
+    v, _, _, r = d.grouped()
     reps = 10**5
-    draws = _fourier_draws(v, r, reps, SeededRng(21))
+    draws = _fourier_draws(v, r, d.n, reps, SeededRng(21))
     se = draws.std(ddof=1) / math.sqrt(reps)
     assert abs(draws.mean() - target) <= 3 * se
 
@@ -199,26 +199,28 @@ def test_kernel_identity_check_converges():
 
 
 def test_binning_chunks_are_bitwise_identical(monkeypatch):
-    v, r = _canonical(random_distribution(np.random.default_rng(36), max_n=60))
+    d = random_distribution(np.random.default_rng(36), max_n=60)
+    v, _, _, r = d.grouped()
     reps = kernel._REP_BATCH + 300  # two batches of random draws
     monkeypatch.setattr(kernel, "_CHUNK_CELLS", reps * len(v))
-    whole = _binning_draws(v, r, reps, SeededRng(12))
+    whole = _binning_draws(v, r, d.n, reps, SeededRng(12))
     for rows in (1, 7):
         monkeypatch.setattr(kernel, "_CHUNK_CELLS", rows * len(v))
-        chunked = _binning_draws(v, r, reps, SeededRng(12))
+        chunked = _binning_draws(v, r, d.n, reps, SeededRng(12))
         assert chunked.tobytes() == whole.tobytes()
 
 
 def test_fourier_chunks_are_bitwise_identical(monkeypatch):
     rng = np.random.default_rng(37)
     for max_n in (60, 2000):
-        v, r = _canonical(random_distribution(rng, max_n=max_n))
+        d = random_distribution(rng, max_n=max_n)
+        v, _, _, r = d.grouped()
         reps = kernel._REP_BATCH + 300  # two batches of random draws
         monkeypatch.setattr(kernel, "_CHUNK_CELLS", reps * len(v))
-        whole = _fourier_draws(v, r, reps, SeededRng(13))
+        whole = _fourier_draws(v, r, d.n, reps, SeededRng(13))
         for rows in (1, 3):
             monkeypatch.setattr(kernel, "_CHUNK_CELLS", rows * len(v))
-            chunked = _fourier_draws(v, r, reps, SeededRng(13))
+            chunked = _fourier_draws(v, r, d.n, reps, SeededRng(13))
             assert chunked.tobytes() == whole.tobytes()
 
 

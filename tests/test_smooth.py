@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from calibdist import TooLarge, WeightVector, make_empirical, smce
-from calibdist.smooth import _chain_dp, _merged_coefficients
+from calibdist.smooth import _chain_dp
 
 from _oracles import (BLAS_PROBE_DIST, random_distribution, smce_adjacent_lp,
                       smce_full_pairwise, stdout_per_blas_threads)
@@ -144,7 +144,8 @@ def test_smce_invariant_under_permutation_repetition_and_flip(samples, k, data):
 
 def _certificate(d):
     """smce's value, its witness objective, and the dual path's objective."""
-    values, coef = _merged_coefficients(d)
+    values, _, _, R = d.grouped()
+    coef = R / d.n
     value, w = smce(d)
     primal = float(np.sum(coef * np.array(w.z)))
     _, lo, hi = _chain_dp(values, coef)

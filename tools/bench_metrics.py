@@ -7,7 +7,11 @@ first on ``sys.path``.  Inputs are dbeta rows (beta 1, seed 1, labels drawn
 with probability f) at 10^4, 10^5 and 10^6 rows, once at full precision and
 once rounded to three decimals; numpy makes them, so both trees time the
 same rows.  Each metric runs as ``calib measure --metrics all`` runs it with
-its default options, and its time is the minimum of three calls.  The file
+its default options, and its time is the minimum of three calls.  Every call
+gets a fresh ``EmpiricalDistribution``, built outside the timed region, so a
+view the distribution caches on first use (``grouped()``) is paid for in each
+call and not served from an earlier one.  The ``group`` row times that view
+alone; in a tree without it, ``core.distinct_predictions``, its builder.  The file
 also records the machine (cpu count, Python, numpy and scipy versions, the
 BLAS thread variables and ``/proc/loadavg`` before and after) and the line
 count of ``<tree>/src/calibdist/*.py``.  It is written into ``tools/``.
@@ -63,7 +67,8 @@ def _rows(n: int, decimals: int | None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _metrics(cd):
-    """(name, call) per metric of ``calib measure --metrics all``, with its defaults."""
+    """(name, call): the grouped view, then each metric of ``calib measure --metrics all``
+    with its defaults."""
     from calibdist.cli import LDCE_EPS1, LDCE_EPS2, METRIC_NAMES
 
     def rng(name):
@@ -72,7 +77,10 @@ def _metrics(cd):
     def kce(kind, name):
         return lambda d: cd.kce_estimate_squared(d, kind, cd.KernelEstimatorConfig(rng=rng(name)))
 
+    group = ((lambda d: d.grouped()) if hasattr(cd.EmpiricalDistribution, "grouped")
+             else cd.core.distinct_predictions)
     return [
+        ("group", group),
         ("ece", cd.ece),
         ("binned-ece", lambda d: cd.binned_ece(d, cd.uniform_partition(20))),
         ("binned-ece-w", lambda d: cd.binned_ece(d, cd.uniform_partition(20), width_penalty=True)),
@@ -101,11 +109,11 @@ def main(argv=None) -> int:
     for n in SIZES:
         for decimals in DECIMALS:
             v, y = _rows(n, decimals)
-            dist = cd.EmpiricalDistribution(v, y)
             distinct = len(np.unique(v))
             for name, call in _metrics(cd):
                 runs = []
                 for _ in range(REPEATS):
+                    dist = cd.EmpiricalDistribution(v, y)
                     start = time.perf_counter()
                     call(dist)
                     runs.append(time.perf_counter() - start)
