@@ -4,9 +4,9 @@ For a fixed bin width the binned error, as a function of the random shift r,
 is piecewise constant in r with at most one breakpoint per distinct
 prediction (the shift at which its samples cross into the previous bin).
 Both the Monte Carlo estimator and the exact expectation over shifts are
-evaluated on that profile, which a sorted event sweep over the d distinct
-predictions builds in O(d log d) numpy operations per width.  It reads the
-sorted distinct predictions and the summed residual of each from
+evaluated on that profile, which one sort into crossing order, a prefix sum
+and two binary searches build in O(d log d) numpy operations per width.  It
+reads the sorted distinct predictions and the summed residual of each from
 ``dist.grouped()``, built by one sort per distribution and shared by every
 width and every other metric.  The Monte Carlo mean over m shifts r ~ Unif[0,
 width) depends on the shifts only through how many land on each piece, and
@@ -49,8 +49,15 @@ def width_exponent(epsilon: float) -> int:
 
 
 def default_shifts(epsilon: float) -> int:
-    kstar = max(width_exponent(epsilon), 1)
-    return math.ceil(SHIFT_RULE_C / epsilon**2 * math.log(kstar / SHIFT_RULE_DELTA))
+    """The rule's shift count; raises TooLarge where eps is so small that the count is inf."""
+    square = epsilon**2
+    count = math.inf
+    if square > 0.0:
+        kstar = max(width_exponent(epsilon), 1)
+        count = SHIFT_RULE_C / square * math.log(kstar / SHIFT_RULE_DELTA)
+    if count == math.inf:
+        raise TooLarge(f"eps {epsilon} asks for an infinite number of shift draws per width")
+    return math.ceil(count)
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,9 @@ class IntervalEstimatorConfig:
             object.__setattr__(self, "shifts_m", _shift_count(self.shifts_m))
 
     def resolved_shifts(self) -> int:
-        return self.shifts_m if self.shifts_m is not None else default_shifts(self.epsilon)
+        if self.shifts_m is not None:
+            return self.shifts_m
+        return _shift_count(default_shifts(self.epsilon))
 
 
 def _shift_profile(u: np.ndarray, R: np.ndarray, n: int, width: float):
@@ -85,19 +94,28 @@ def _shift_profile(u: np.ndarray, R: np.ndarray, n: int, width: float):
     breakpoints, i.e. on the piece of [0, width) between breaks[i-1]
     (exclusive) and breaks[i] (inclusive).
 
-    The profile is an event sweep: breakpoint i moves R_i from bin q_i to bin
-    q_i - 1, i.e. updates bin q_i by -R_i and then bin q_i - 1 by +R_i.  A
-    stable sort by bin keeps each bin's updates in time order, so a running
-    sum per bin gives every bin value before and after each update; a running
-    sum of the |.| changes in time order gives the profile.  Python loops only
-    over bins.  The samples at one value cross together, so this is a
-    per-sample walk (``tests/_oracles.shift_profile_loop``) at the last event
-    of each tie group, up to round-off; the walk's other pieces have length 0.
+    Breakpoint i moves R_i from bin q_i to bin q_i - 1.  Time order is by
+    rho, then bin.  Unless the float-drift guard fires (never at a dyadic
+    width), rho = u - fl(q*width) exactly (Sterbenz), so equal rho and
+    u_i < u_j force q_i < q_j: u is sorted, and a stable argsort of rho is
+    that order.
 
-    Time order is by rho, then bin.  Unless the float-drift guard fires
-    (never at a dyadic width), rho = u - fl(q*width) exactly (Sterbenz), so
-    equal rho and u_i < u_j force q_i < q_j: u is sorted, and a stable
-    argsort of rho is that order.
+    q is nondecreasing along u (the drift guard could break that at a
+    non-dyadic width; the tests probe values a few ulps from multiples of
+    the width), so each bin is a run of u, in time order within the run, and
+    at any time the crossed values are a prefix of every run.  Just before
+    event i, bin q_i is its rest and bin q_i + 1's crossed prefix, [i, hi_i);
+    bin q_i - 1 is its uncrossed rest and bin q_i's crossed prefix, [lo_i, i).
+    With c the running sum of q's gaps capped at 2 (neighbours in c exactly
+    when in q) and t the time rank, key = c*(d+1) + t is sorted, and hi_i,
+    lo_i are where key_i +- (d+1) fall in it; no key equals either.  With P the
+    prefix sums of R, the two bins go from P[hi_i] - P[i] and P[i] - P[lo_i]
+    to P[hi_i] - P[i+1] and P[i+1] - P[lo_i]: a bin is always P at the same
+    two indices, so the value one event leaves is the value the next reads.
+
+    The samples at one value cross together, so this is a per-sample walk
+    (``tests/_oracles.shift_profile_loop``) at the last event of each tie
+    group, up to round-off; the walk's other pieces have length 0.
     """
     d = len(u)
     q = np.floor(u / width).astype(np.int64)
@@ -110,50 +128,23 @@ def _shift_profile(u: np.ndarray, R: np.ndarray, n: int, width: float):
     q[under] -= 1
     rho[under] += width
     drifted = over.any() or under.any()
-
-    q -= q.min() - 1  # bin ids from 1, so every q - 1 is an id >= 0
-    if int(q.max()) > 2 * d:
-        # narrow widths: shrink gaps between occupied bins to one empty bin,
-        # which keeps q - 1 apart from every other occupied bin
-        used, q = np.unique(q, return_inverse=True)
-        q = np.cumsum(np.minimum(np.diff(used, prepend=-1), 2))[q]
-
-    init = np.bincount(q, weights=R)
     order = np.lexsort((q, rho)) if drifted else np.argsort(rho, kind="stable")
-    rho = rho[order]
-    # event i, in time order, is the update pair (q_i, -R_i), (q_i - 1, +R_i);
-    # int16 ids make the stable argsort a radix sort
-    ids = np.empty(2 * d, dtype=np.int16 if q.max() < 2**15 else np.int32)
-    ids[0::2] = q[order]
-    ids[1::2] = ids[0::2] - 1
-    steps = np.empty(2 * d)
-    steps[1::2] = R[order]
-    np.negative(steps[1::2], out=steps[0::2])
-    del q, order  # free before the 2d-long arrays below
-    by_bin = np.argsort(ids, kind="stable")
-    ids = ids[by_bin]
-    after = steps[by_bin]
-    heads = np.flatnonzero(np.diff(ids, prepend=-1))
-    start = init[ids[heads]]
-    after[heads] += start
-    tails = np.append(heads[1:], 2 * d)
-    runs = tails - heads > 1
-    for s, e in zip(heads[runs], tails[runs]):
-        np.cumsum(after[s:e], out=after[s:e])
-    before = np.empty_like(after)
-    before[1:] = after[:-1]
-    before[heads] = start
 
-    # back to time order as magnitudes, steps holding |new| and after |old|;
-    # per event total -= |old_q| + |old_lo|, then total += |new_q| + |new_lo|
-    steps[by_bin] = np.abs(after)
-    after[by_bin] = np.abs(before)
-    profile = np.empty(2 * d + 1)
-    profile[0] = np.sum(np.abs(init))
-    profile[1::2] = -(after[0::2] + after[1::2])
-    profile[2::2] = steps[0::2] + steps[1::2]
-    np.cumsum(profile, out=profile)
-    return rho, profile[0::2] / n
+    gaps = np.minimum(np.diff(q, prepend=q[0] - 1), 2)
+    t = np.empty_like(order)
+    t[order] = np.arange(d)
+    key = np.cumsum(gaps) * (d + 1) + t
+    # Both running sums go through long double and are rounded once: summed
+    # in float64, each moved rintce_exact by up to 6e-14 at 10^6 values.
+    P = np.concatenate([[0.0], np.cumsum(R, dtype=np.longdouble)]).astype(np.float64)
+    hi = P[np.searchsorted(key, key + (d + 1))]
+    lo = P[np.searchsorted(key, key - (d + 1))]
+    before, after = P[:-1], P[1:]
+    # one bin's change at a time, exact while its |sum| is at least 2|R_i|
+    step = (np.abs(hi - after) - np.abs(hi - before)) + (np.abs(after - lo) - np.abs(before - lo))
+    start = np.sum(np.abs(np.add.reduceat(R, np.flatnonzero(gaps))))
+    profile = np.cumsum(np.concatenate([[start], step[order]]), dtype=np.longdouble)
+    return rho[order], profile.astype(np.float64) / n
 
 
 def _check_width(top: float, width: float) -> None:
@@ -165,13 +156,16 @@ def _check_width(top: float, width: float) -> None:
 
 
 def _shift_count(shifts_m) -> int:
-    """shifts_m as an int; raises BadConfig unless it is an integer >= 1 (a bool is not)."""
+    """shifts_m as an int; raises BadConfig unless it is an integer >= 1 (a bool is not),
+    and TooLarge from 2^63 on, which the int64 piece counts cannot hold."""
     try:
         count = operator.index(shifts_m)
     except TypeError:
         count = 0
     if count < 1 or isinstance(shifts_m, bool):
         raise BadConfig(f"shifts_m must be a positive integer, got {shifts_m!r}")
+    if count >= 2**63:
+        raise TooLarge(f"{count} shift draws per width do not fit the int64 piece counts")
     return count
 
 
@@ -195,8 +189,6 @@ def _draws_mean(breaks: np.ndarray, values: np.ndarray, width: float, shifts_m: 
     of probability 0, so a per-sample profile, whose extra pieces all have
     length 0, gets the same counts.  Nothing shifts_m long is allocated.
     """
-    if shifts_m >= 2**63:
-        raise TooLarge(f"{shifts_m} shift draws per width do not fit the int64 piece counts")
     counts = rng.multinomial(shifts_m, _piece_lengths(breaks, width) / width)
     return float(np.sum(values * counts) / shifts_m)
 
@@ -224,10 +216,12 @@ def rintce_hat(
 def _sintce(dist: EmpiricalDistribution, epsilon: float, shifts_m: int | None,
             rng: SeededRng | None) -> float:
     u, _, _, R = dist.grouped()
+    kstar = width_exponent(epsilon)
+    # a width that passes passes every wider one, so the narrowest covers the loop
+    _check_width(float(u[-1]), 2.0**-kstar)
     best = math.inf
-    for k in range(width_exponent(epsilon) + 1):
+    for k in range(kstar + 1):
         width = 2.0**-k
-        _check_width(float(u[-1]), width)
         # no name holds a profile, so none outlives its width
         if shifts_m is None:
             est = _profile_mean(*_shift_profile(u, R, dist.n, width), width)

@@ -72,37 +72,37 @@ def _walk_order(dist: EmpiricalDistribution, width: float):
     return q, rho, np.lexsort((q, rho))
 
 
-def shift_profile_loop(dist: EmpiricalDistribution, width: float):
+def shift_profile_loop(dist: EmpiricalDistribution, width: float, exact: bool = False):
     """The interval shift profile as a per-sample walk over a dict of bin sums.
 
     One break per sample: ``calibdist.interval._shift_profile`` returns this
     walk at the last event of each tie group (``shift_profile_at_group_ends``),
-    up to the order residuals are added in.
+    up to the order residuals are added in.  With ``exact`` the residuals are
+    integers in units of 2^-1100, so every sum is exact and each value is
+    rounded once, at the end.
     """
-    r = dist.residuals()
+    r = dist.residuals().tolist()
+    scale = 2**1100 if exact else 1
+    if exact:
+        r = [a * (scale // b) for a, b in map(float.as_integer_ratio, r)]
     q, rho, order = _walk_order(dist, width)
     rho = rho[order]
-    q_sorted = q[order]
-    res_sorted = r[order]
 
     bins: dict[int, float] = {}
-    for qi, ri in zip(q, r):
-        bins[int(qi)] = bins.get(int(qi), 0.0) + ri
+    for qi, ri in zip(q.tolist(), r):
+        bins[qi] = bins.get(qi, 0) + ri
     total = sum(abs(s) for s in bins.values())
 
-    n = dist.n
-    values = np.empty(n + 1)
-    values[0] = total
-    for i in range(n):
-        qi = int(q_sorted[i])
-        ri = float(res_sorted[i])
+    totals = [total]
+    for i in order.tolist():
+        qi, ri = int(q[i]), r[i]
         lo = qi - 1
-        total -= abs(bins.get(qi, 0.0)) + abs(bins.get(lo, 0.0))
-        bins[qi] = bins.get(qi, 0.0) - ri
-        bins[lo] = bins.get(lo, 0.0) + ri
+        total -= abs(bins.get(qi, 0)) + abs(bins.get(lo, 0))
+        bins[qi] = bins.get(qi, 0) - ri
+        bins[lo] = bins.get(lo, 0) + ri
         total += abs(bins[qi]) + abs(bins[lo])
-        values[i + 1] = total
-    return rho, values / n
+        totals.append(total)
+    return rho, np.array([t / (scale * dist.n) for t in totals])
 
 
 def shift_profile_at_group_ends(dist: EmpiricalDistribution, width: float):

@@ -177,6 +177,10 @@ def test_measure_sintce_draw_cap_is_an_error_entry(tmp_path, capsys):
     # 1e-20 asks for more draws per width than the int64 piece counts hold;
     # 1e-4 for 4,563,025,980, which need no array of that length
     assert sintce_entry(1e-20)["error"].startswith(f"{default_shifts(1e-20)} shift draws per width")
+    # the rule's eps^2 underflows to a subnormal at 1e-160 and to 0 at 1e-200
+    for eps in (1e-160, 1e-200):
+        want = f"eps {eps} asks for an infinite number of shift draws per width"
+        assert sintce_entry(eps)["error"] == want
     assert 0.0 < sintce_entry(1e-4)["value"] <= 2.0
 
 

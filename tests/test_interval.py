@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -254,21 +255,30 @@ def test_sintce_range():
         assert 0.0 < exact <= 2.0
 
 
-# Full precision and -0.0 next to the grids; many ties among few values; the
-# widths of eps = 0.001 (down to 2^-11), non-dyadic ones and a narrow one whose
-# bin ids the profile compresses.
+# Values within a few ulps of k * w at the non-dyadic widths w, where
+# floor(v / w) and the drift guard decide the bin: the sweep needs the guarded
+# bin numbers nondecreasing along the sorted values.
+_near_multiple = st.builds(lambda w, k, j: min(max(k * w + j * math.ulp(k * w), 0.0), 1.0),
+                           st.sampled_from([0.3, 0.17, 1 / 3]), st.integers(0, 5),
+                           st.integers(-6, 6))
+# Full precision and -0.0 next to the grids; many ties among few values; values
+# next to multiples of the non-dyadic widths; the widths of eps = 0.001 (down
+# to 2^-11), non-dyadic ones and a narrow one whose bin numbers the profile
+# compacts.
 _profile_samples = st.one_of(
     st.lists(st.tuples(st.one_of(_prediction, st.floats(0.0, 1.0), st.just(-0.0)),
                        st.integers(0, 1)), min_size=1, max_size=80),
     st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0]), st.integers(0, 1)),
              min_size=20, max_size=300),
+    st.lists(st.tuples(_near_multiple, st.integers(0, 1)), min_size=1, max_size=80),
 )
 _profile_width = st.sampled_from([2.0**-k for k in range(12)] + [0.3, 0.17, 1 / 3, 2.0**-30])
 
 
-# The grouped profile sums each value's residuals as ones - count * u and a
-# bin's values in sorted order, the walk sample by sample in input order, so
-# the values differ by round-off; the breaks are equal.
+# The grouped profile sums each value's residuals as ones - count * u and
+# takes a bin's sum as a difference of one prefix sum over the sorted values,
+# the walk sample by sample in input order, so the values differ by
+# round-off; the breaks are equal.
 _PROFILE_TOL = 1e-14
 
 
@@ -296,17 +306,36 @@ def test_shift_profile_matches_loop_at_group_ends(samples, width):
     _assert_matches_loop(make_empirical(samples), width)
 
 
-def test_int32_bin_ids_match_loop():
-    # Bin ids that do not fit int16: at width 2^-16 they are q - min(q) + 1
-    # up to about 2^16 (below 2d, so not compressed); at 2^-17 the compressed
-    # ids still pass 2^15.
+def test_narrow_widths_with_compacted_bins_match_loop():
+    # Tens of thousands of occupied bins: at width 2^-16 the bin numbers q span
+    # about 2^16, fewer than 2d, so most gaps between occupied bins are 1 or 2
+    # and compaction keeps them; at 2^-17 at least 2^15 bins are occupied and
+    # the compacted numbers pass 2^15.
     n = 40_000
     v = np.random.default_rng(28).random(n)
     assert 2**15 <= np.ptp(np.floor(v * 2**16)) + 1 <= 2 * len(np.unique(v))
-    assert len(np.unique(np.floor(v * 2**17))) >= 2**15  # compressed ids reach at least this
+    assert len(np.unique(np.floor(v * 2**17))) >= 2**15  # compacted numbers reach at least this
     d = make_empirical(list(zip(v, (v > 0.3).astype(int))))
     for width in (2.0**-16, 2.0**-17, 2.0**-11):
         _assert_matches_loop(d, width)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is float64 on this platform")
+def test_profile_values_are_rounded_once():
+    # Summed in float64, the prefix sums and the running total each drift by
+    # about 1e-14 relative over 2*10^4 values; summed in long double and
+    # rounded once, the values stay within a few ulps of the exact walk.
+    rng = np.random.default_rng(31)
+    v = rng.random(20_000)
+    d = EmpiricalDistribution(v, (rng.random(20_000) < v).astype(np.int8))
+    u, _, _, R = d.grouped()
+    assert len(u) == d.n  # no ties: the per-sample walk has the profile's events
+    for width in (1.0, 2.0**-3, 0.3, 2.0**-11):
+        want_breaks, want_values = shift_profile_loop(d, width, exact=True)
+        breaks, values = _shift_profile(u, R, d.n, width)
+        assert (breaks == want_breaks).all()
+        assert np.abs(values / want_values - 1).max() <= 2e-15
 
 
 def _same_draws_instances():
@@ -348,7 +377,7 @@ def test_sintce_exact_memory_is_per_distinct_value():
     assert peak < 5 << 20
 
 
-def test_tiny_widths_raise_bad_width():
+def test_tiny_widths_raise_bad_width(monkeypatch):
     # floor(v / width) must fit in int64: 0.9 / 2^-63 does, 0.9 / 2^-64 not
     d = make_empirical([(0.1, 1), (0.5, 0), (0.9, 1)])
     assert rintce_exact(d, 2.0**-63) == pytest.approx(0.5, abs=1e-12)
@@ -358,8 +387,15 @@ def test_tiny_widths_raise_bad_width():
             rintce_exact(d, width)
         with pytest.raises(BadWidth):
             rintce_hat(d, width, 100, SeededRng(1))
+    # sintce checks its narrowest width before it builds any profile
+    built = []
+    monkeypatch.setattr("calibdist.interval._shift_profile", lambda *a: built.append(a))
+    for eps in (1e-20, 1e-200):  # widths down to 2^-67 and 2^-666
+        with pytest.raises(BadWidth):
+            sintce_exact(d, eps)
     with pytest.raises(BadWidth):
-        sintce_exact(d, 1e-20)  # reaches width 2^-64
+        sintce_hat(d, IntervalEstimatorConfig(epsilon=1e-20, shifts_m=100))
+    assert built == []
 
 
 @_fuzz
