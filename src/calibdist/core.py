@@ -201,10 +201,17 @@ def sorted_pairs(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distinct_predictions(dist: EmpiricalDistribution):
-    """``EmpiricalDistribution.grouped``'s builder, from one ``sorted_pairs`` sort."""
+    """``EmpiricalDistribution.grouped``'s builder, from one ``sorted_pairs`` sort.
+
+    Without ties the sorted samples are the groups, and no reduction runs.
+    """
     v, y = sorted_pairs(dist)
-    heads = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    u, count, ones = v[heads], np.diff(heads, append=dist.n), np.add.reduceat(y, heads)
+    new = v[1:] != v[:-1]
+    if new.all():
+        u, count, ones = v, np.ones(dist.n, dtype=np.intp), y
+    else:
+        heads = np.flatnonzero(np.concatenate(([True], new)))
+        u, count, ones = v[heads], np.diff(heads, append=dist.n), np.add.reduceat(y, heads)
     view = (u, count, ones, ones - count * u)
     for column in view:
         column.setflags(write=False)

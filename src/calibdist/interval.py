@@ -45,7 +45,10 @@ SHIFT_RULE_DELTA = 0.05
 
 def width_exponent(epsilon: float) -> int:
     """Smallest k* >= 0 with eps/4 < 2^-k* <= eps/2."""
-    return max(0, math.ceil(math.log2(2.0 / epsilon)))
+    ratio = 2.0 / epsilon
+    # a subnormal eps overflows 2 / eps; log2 takes the factor 2 out exactly there
+    exponent = math.log2(ratio) if ratio < math.inf else 1.0 - math.log2(epsilon)
+    return max(0, math.ceil(exponent))
 
 
 def default_shifts(epsilon: float) -> int:

@@ -7,6 +7,7 @@ implementations in the package are checked against a second route.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -20,11 +21,10 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import calibdist
-from calibdist.core import EmpiricalDistribution, SeededRng, round_to_grid
+from calibdist.core import EmpiricalDistribution, SeededRng, round_to_grid, sorted_pairs
 from calibdist.errors import BadConfig, TooLarge
 from calibdist.interval import width_exponent
 from calibdist.lowerdist import _check_eps, _discretize, ldce_dual_solution
-from calibdist.smooth import _chain_dp
 
 _FULL_PAIRWISE_CAP = 500
 
@@ -323,6 +323,15 @@ def _kce_from(v: np.ndarray, r: np.ndarray, n: int, kind: str) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
+def distinct_predictions_reduceat(dist: EmpiricalDistribution):
+    """``core.distinct_predictions`` by its reducing pass alone, ties or not: group
+    heads, then a ``reduceat`` of the sorted labels."""
+    v, y = sorted_pairs(dist)
+    heads = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    u, count, ones = v[heads], np.diff(heads, append=dist.n), np.add.reduceat(y, heads)
+    return u, count, ones, ones - count * u
+
+
 def group_unique(dist: EmpiricalDistribution) -> tuple[np.ndarray, np.ndarray]:
     """(u, R) of ``dist.grouped()`` by ``np.unique`` (-0.0 folded into 0.0) and two bincounts."""
     u, inverse = np.unique(dist.v + 0.0, return_inverse=True)
@@ -371,12 +380,93 @@ def binned_ece_per_sample(dist: EmpiricalDistribution, part, width_penalty: bool
     return value
 
 
+def chain_dp(values: np.ndarray, coef: np.ndarray):
+    """Primal peaks p_j and live ends (lo_j, hi_j) of the conjugate chain DP, step by step.
+
+    The reference for ``smooth._peaks``, which finds the same peaks from
+    composed clamp-map tables, and the source of the dual path.
+
+    With S_j = c_1 + ... + c_j and gaps g_j, the dual of the chain program is
+    min sum_j |A_j - A_{j-1}| + sum_{j<d} g_j |A_j - S_j| over paths with
+    A_0 = 0 and A_d = S_d.  Its value function F_j(A) (paths ending at A_j =
+    A) is convex and piecewise linear with slopes in [-1, 1] and breakpoints
+    only at {0, S_1, ..., S_{d-1}}.  A breakpoint's weight is its slope
+    change, so the weights sum to 2 and F_j's left derivative at A is (weight
+    strictly left of A) - 1.  That derivative at S_j is the peak p_j, the
+    maximizer of the primal value function of the first j values.  Passing to
+    F_{j+1} adds g_j |A - S_j| (weight 2 g_j at S_j) and clamps the slopes
+    back to [-1, 1], which trims weight g_j from each end.  Weights live in a
+    Fenwick tree over the positions' ranks; the ends are a min-heap and a
+    max-heap of live ranks with lazy deletion.  Each breakpoint is consumed
+    at most once, so the pass is O(d log d).  F_j's outermost breakpoints
+    (lo_j, hi_j) give the dual path back from A_d: A_{j-1} = clip(A_j, lo_j,
+    hi_j).
+    """
+    d = len(values)
+    gaps = np.diff(values).tolist()
+    prefix = np.cumsum(coef)
+    positions = np.unique(np.concatenate(([0.0], prefix[:-1])))
+    insert_at = np.searchsorted(positions, prefix[:-1]).tolist()
+    left_of = np.searchsorted(positions, prefix).tolist()
+    pos = positions.tolist()
+    m = len(pos)
+    tree = [0.0] * (m + 1)
+    weight = [0.0] * m
+
+    def add(i, w):
+        weight[i] += w
+        i += 1
+        while i <= m:
+            tree[i] += w
+            i += i & -i
+
+    def trim(heap, sign, need):
+        while need > 0.0:
+            i = sign * heap[0]
+            w = weight[i]
+            if w <= need:  # consumed: w - w leaves the exact zero that marks it dead
+                heapq.heappop(heap)
+                if w > 0.0:
+                    need -= w
+                    add(i, -w)
+            else:
+                add(i, -need)
+                need = 0.0
+
+    def live(heap, sign):
+        while weight[sign * heap[0]] == 0.0:
+            heapq.heappop(heap)
+        return pos[sign * heap[0]]
+
+    start = int(np.searchsorted(positions, 0.0))
+    low, high = [start], [-start]
+    add(start, 2.0)
+    peaks, lo, hi = [0.0] * d, [0.0] * d, [0.0] * d
+    for j in range(d):
+        lo[j] = live(low, 1)
+        hi[j] = live(high, -1)
+        k, s = left_of[j], 0.0
+        while k > 0:
+            s += tree[k]
+            k -= k & -k
+        peaks[j] = s - 1.0
+        if j < d - 1:
+            g, i = gaps[j], insert_at[j]
+            if weight[i] == 0.0:
+                heapq.heappush(low, i)
+                heapq.heappush(high, -i)
+            add(i, 2.0 * g)
+            trim(low, 1, g)
+            trim(high, -1, g)
+    return peaks, lo, hi
+
+
 def smce_per_sample(dist: EmpiricalDistribution) -> float:
     """``smce`` on coefficients summed sample by sample (``np.unique`` and a bincount),
-    then the package's chain DP and the same backward witness pass."""
+    then the step-by-step chain DP and the same backward witness pass."""
     values, inverse = np.unique(dist.v, return_inverse=True)
     coef = np.bincount(inverse, weights=dist.residuals(), minlength=len(values)) / dist.n
-    z, _, _ = _chain_dp(values, coef)
+    z, _, _ = chain_dp(values, coef)
     gaps = np.diff(values).tolist()
     z[-1] = min(max(z[-1], -1.0), 1.0)
     for j in range(len(z) - 2, -1, -1):

@@ -15,7 +15,9 @@ from calibdist import (
     round_to_grid,
 )
 
-from _oracles import random_distribution, reliability_bins_masks
+from calibdist.core import distinct_predictions
+
+from _oracles import distinct_predictions_reduceat, random_distribution, reliability_bins_masks
 
 
 def test_make_empirical_minimal():
@@ -75,6 +77,21 @@ def test_grouped_view_is_read_only_and_cached():
         with pytest.raises(ValueError):
             column[0] = 0.25
     assert d.grouped() is view
+
+
+def test_distinct_predictions_match_the_grouping_pass_bitwise():
+    # without ties the sorted samples are returned as the groups; with ties the
+    # groups are reduced: both must give the arrays of the reducing pass
+    rng = np.random.default_rng(41)
+    tie_free = [rng.random(n) for n in (1, 2, 1000)] + [np.array([0.0, 1.0]), np.array([-0.0, 0.5])]
+    tied = [np.round(rng.random(1000), 2), np.array([0.5, 0.5]), np.array([0.0, -0.0, 1.0])]
+    for v in tie_free + tied:
+        d = EmpiricalDistribution(v, (rng.random(len(v)) < 0.5).astype(np.int8))
+        got, expected = distinct_predictions(d), distinct_predictions_reduceat(d)
+        assert (len(got[0]) == d.n) == any(v is w for w in tie_free)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
 
 def test_round_to_grid_examples():

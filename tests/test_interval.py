@@ -145,6 +145,18 @@ def test_width_exponent_rule():
     assert default_shifts(0.01) >= 1
 
 
+def test_subnormal_eps_raises_bad_width():
+    # 2 / eps overflows below about 1.1e-308; k* still follows the rule there
+    assert width_exponent(1e-300) == 998
+    assert width_exponent(1e-310) == 1031 and width_exponent(5e-324) == 1075
+    d = make_empirical([(0.1, 1), (0.9, 0)])
+    for eps in (1e-310, 5e-324):
+        with pytest.raises(BadWidth):
+            sintce_exact(d, eps)
+        with pytest.raises(BadWidth):
+            sintce_hat(d, IntervalEstimatorConfig(epsilon=eps, shifts_m=100))
+
+
 def test_estimator_config_validation():
     with pytest.raises(BadConfig):
         IntervalEstimatorConfig(epsilon=0.0)

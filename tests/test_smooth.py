@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from calibdist import TooLarge, WeightVector, make_empirical, smce
-from calibdist.smooth import _chain_dp
+from calibdist import SeededRng, TooLarge, WeightVector, make_empirical, smce
+from calibdist.fixtures import SyntheticConfig, gen_dbeta
+from calibdist.smooth import _peaks
 
-from _oracles import (BLAS_PROBE_DIST, random_distribution, smce_adjacent_lp,
-                      smce_full_pairwise, stdout_per_blas_threads)
+from _oracles import (BLAS_PROBE_DIST, chain_dp, random_distribution, smce_adjacent_lp,
+                      smce_full_pairwise, smce_per_sample, stdout_per_blas_threads)
 
 # Predictions on a 1e-6 grid, or drawn from a few values that force ties and
 # hit both ends of [0, 1].
@@ -142,13 +143,40 @@ def test_smce_invariant_under_permutation_repetition_and_flip(samples, k, data):
         assert abs(smce(make_empirical(changed))[0] - value) <= 1e-12
 
 
+# Dyadic coefficients make the prefix sums P tie exactly, also with P = 0 and
+# with -0.0; the step counts sit at and just above powers of two, where the
+# tables are padded the least and the most.
+_dyadic = st.sampled_from([-0.5, -0.25, -0.125, -0.0, 0.0, 0.0, 0.125, 0.25, 0.5])
+_coefficient = st.one_of(_dyadic, st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _chains(draw):
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65]))
+    coef = draw(st.lists(_coefficient, min_size=d, max_size=d))
+    gaps = draw(st.lists(st.sampled_from([1 / 128, 1 / 64, 0.01]), min_size=d - 1, max_size=d - 1))
+    return coef, gaps
+
+
+@_fuzz
+@given(_chains())
+@example(([0.25], []))  # a single value
+@example(([-0.0, 0.25, -0.25], [0.01, 0.01]))  # P = -0.0, 0.25, 0.0: signed zeros tie
+def test_peaks_match_step_by_step_dp(chain):
+    coef, gaps = chain
+    values = np.concatenate(([0.0], np.cumsum(gaps)))
+    coef = np.array(coef) / len(coef)
+    expected = np.array(chain_dp(values, coef)[0])
+    assert np.max(np.abs(_peaks(values, coef) - expected)) <= 1e-12
+
+
 def _certificate(d):
     """smce's value, its witness objective, and the dual path's objective."""
     values, _, _, R = d.grouped()
     coef = R / d.n
     value, w = smce(d)
     primal = float(np.sum(coef * np.array(w.z)))
-    _, lo, hi = _chain_dp(values, coef)
+    _, lo, hi = chain_dp(values, coef)
     prefix = np.cumsum(coef)
     # dual path: A_d = S_d, A_{j-1} = clip(A_j, lo_j, hi_j), A_0 = 0
     a = np.empty(len(values) + 1)
@@ -174,6 +202,15 @@ def test_primal_dual_gap_certified_on_larger_instances():
         value, primal, dual = _certificate(random_distribution(rng, max_n=2000))
         assert value == max(primal, 0.0)
         assert abs(dual - primal) <= 1e-12
+
+
+def test_certified_on_dbeta_rows():
+    # 10^5 full-precision rows: every prediction distinct, the tables 17 levels deep
+    d = gen_dbeta(SyntheticConfig(beta=1.0, n=100_000, rng=SeededRng(11)))
+    value, primal, dual = _certificate(d)
+    assert value == max(primal, 0.0)
+    assert abs(dual - primal) <= 1e-12
+    assert abs(value - smce_per_sample(d)) <= 1e-12 * value
 
 
 def test_smce_bits_independent_of_blas_threads():
