@@ -91,48 +91,109 @@ def _read_samples(path: str) -> tuple[EmpiricalDistribution, str]:
         raise ParseError(f"cannot read {path}: {e}") from e
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     # the line scan reads CRLF as LF, so a CRLF file is plain once folded
-    parsed = _parse_fast(raw.replace(b"\r\n", b"\n"))
+    parsed = _parse_fast(raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw)
     v, y = parsed if parsed is not None else _parse_lines(path, raw)
     return EmpiricalDistribution(v, y), digest
 
 
 _HEADER = b"v,y\n"
 _BODY_BYTES = b"0123456789.eE+-,\n"
+# float(10**k) is exact for k <= 22 (5**22 < 2**53), so for digits M < 2**53
+# M / _POW10[k] is one correctly rounded division: float() of the decimal
+_POW10 = np.array([float(10**k) for k in range(23)])
+_DECIMAL_FIELD = 32  # longest prediction the decimal pass reads, in bytes
+_DECIMAL_BLOCK = 1 << 14  # rows per block: the pass's working memory is O(block)
+_DECIMAL_FIRST = 1 << 10  # rows of the first block, so a file it rejects costs little
 
 
 def _parse_fast(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """(v, y) of a plain file, parsed by numpy; None for anything else.
 
-    A plain file is the exact header, then lines "<v>,0" or "<v>,1" made of
-    the bytes 0-9 . e E + - only, newline-terminated except perhaps the last,
-    with every v in [0, 1].  On such a file np.loadtxt gives the floats of
-    Python's float() bit for bit, so the values are those of the line scan,
+    A plain file is the exact header, then lines "<v>,0" or "<v>,1",
+    newline-terminated except perhaps the last, with every v in [0, 1].  It
+    takes one of two numpy paths.  The exact decimal pass takes it when every
+    v is <digits>[.<digits>] (at least one digit, no sign, no exponent, at
+    most 32 bytes), its digits M read as an integer are below 2**53 and at
+    most k = 22 of them follow the point: v is then M / 10**k, one correctly
+    rounded division.  Otherwise np.loadtxt takes it when every v is made of
+    the bytes 0-9 . e E + - only.  Both give the floats of Python's float()
+    bit for bit, so the values are those of the line scan, the third path,
     which stays the reference and the only source of parse errors.
     """
-    if not raw.startswith(_HEADER):
+    if len(raw) <= len(_HEADER) or not raw.startswith(_HEADER):
         return None
-    body = raw[len(_HEADER):]
-    if not body or body.translate(None, _BODY_BYTES):
+    buf = np.frombuffer(raw, dtype=np.uint8, offset=len(_HEADER))
+    stops = np.flatnonzero(buf == ord("\n"))
+    if buf[-1] != ord("\n"):
+        stops = np.append(stops, len(buf))
+    # line i is buf[stops[i] - widths[i]:stops[i]] (its v), then ",0" or ",1"
+    # and its newline; in place, so ingest holds few n-long arrays at once
+    widths = np.diff(stops, prepend=-1)
+    widths -= 3
+    stops -= 2
+    if widths.min() < 1 or np.any(buf[stops] != ord(",")):
         return None
-    buf = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if body[-1:] != b"\n":
-        ends = np.append(ends, len(body))
-    # each line holds at least one byte of v, then ",0" or ",1", and no other comma
-    if (np.any(np.diff(ends, prepend=-1) < 4) or body.count(b",") != len(ends)
-            or np.any(buf[ends - 2] != ord(","))):
-        return None
-    labels = buf[ends - 1]
+    labels = buf[stops + 1]
     if np.any((labels != ord("0")) & (labels != ord("1"))):
+        return None
+    v = _parse_decimal(buf, stops, widths)
+    if v is None:
+        v = _parse_loadtxt(raw, len(stops))
+    if v is None or not np.all((v >= 0.0) & (v <= 1.0)):
+        return None
+    return v, (labels - ord("0")).astype(np.int8)
+
+
+def _parse_decimal(buf: np.ndarray, stops: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
+    """The floats of the fields buf[stops - widths:stops], or None unless every
+    field takes the exact decimal pass of ``_parse_fast``.
+
+    The fields are read column by column, a block of rows at a time.  The
+    digits accumulate in float64, which is exact while they stay below 2**53;
+    past it they stay at or above it, so one check per block rejects them.
+    """
+    if widths.max() > _DECIMAL_FIELD:
+        return None
+    v = np.empty(len(stops))
+    edges = [0, *range(_DECIMAL_FIRST, len(stops), _DECIMAL_BLOCK), len(stops)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        width = widths[lo:hi].astype(np.uint8)
+        start = stops[lo:hi] - width
+        digits = np.zeros(len(start))  # M
+        fraction = np.zeros(len(start), dtype=np.uint8)  # k
+        point = np.zeros(len(start), dtype=bool)
+        bad = np.zeros(len(start), dtype=bool)
+        for j in range(int(width.max())):
+            live = width > j
+            byte = buf.take(start + j, mode="clip")  # past a field: masked by live
+            digit = byte - np.uint8(ord("0"))
+            is_digit = (digit < 10) & live
+            is_point = (byte == ord(".")) & live
+            bad |= (live ^ (is_digit | is_point)) | (is_point & point)
+            point |= is_point
+            fraction += point & is_digit
+            np.multiply(digits, 10.0, out=digits, where=is_digit)
+            np.add(digits, digit, out=digits, where=is_digit)
+        lone_point = (width == 1) & point  # no digit
+        if (bad.any() or lone_point.any() or digits.max() >= 2.0**53
+                or fraction.max() >= len(_POW10)):
+            return None
+        v[lo:hi] = digits / _POW10[fraction]
+    return v
+
+
+def _parse_loadtxt(raw: bytes, rows: int) -> np.ndarray | None:
+    """The rows' v by np.loadtxt, or None unless the body holds only the bytes
+    0-9 . e E + - , and newlines, with one comma a line."""
+    body = raw[len(_HEADER):]
+    if body.translate(None, _BODY_BYTES) or body.count(b",") != rows:
         return None
     try:
         v = np.loadtxt(io.BytesIO(body), delimiter=",", usecols=0, comments=None,
                        quotechar=None, dtype=np.float64, ndmin=1)
     except ValueError:
         return None
-    if v.shape != ends.shape or not np.all((v >= 0.0) & (v <= 1.0)):
-        return None
-    return v, (labels - ord("0")).astype(np.int8)
+    return v if v.shape == (rows,) else None
 
 
 def _parse_lines(path: str, raw: bytes) -> tuple[np.ndarray, np.ndarray]:

@@ -119,25 +119,41 @@ def _discretize(dist: EmpiricalDistribution, eps1: float, eps2: float):
     return refine_grid(values, eps2).points, support_v, support_y, counts[pair] / dist.n
 
 
+def _dual_constraints(u: np.ndarray):
+    """(A_ub, b_ub) of the reduced dual over the variables r0 (m) | r1 (m), as CSR.
+
+    Rows: chain 0's +step rows, then its -step rows, then chain 1's, then the m
+    calibration rows.  The step rows bound |r(u_{i+1}, y) - r(u_i, y)| by
+    u_{i+1} - u_i; the calibration row at u is (1 - u) r(u, 0) + u r(u, 1) <= 0,
+    with a zero coefficient (at u = 0 or u = 1) left out.
+    """
+    import scipy.sparse as sp
+
+    m = len(u)
+    i = np.arange(m - 1)
+    step_cols = np.column_stack((i, i + 1))
+    step_vals = np.repeat([[-1.0, 1.0], [1.0, -1.0]], m - 1, axis=0)  # +step, then -step
+    cal_cols = np.column_stack((np.arange(m), np.arange(m, 2 * m)))
+    cal_vals = np.column_stack((1.0 - u, u))
+    kept = cal_vals != 0.0
+    indices = np.concatenate((step_cols, step_cols, step_cols + m, step_cols + m,
+                              cal_cols[kept]), axis=None)
+    data = np.concatenate((step_vals, step_vals, cal_vals[kept]), axis=None)
+    indptr = np.concatenate(([0], 2 * np.arange(1, 4 * (m - 1) + 1),
+                             8 * (m - 1) + np.cumsum(kept.sum(axis=1))))
+    A_ub = sp.csr_matrix((data, indices, indptr), shape=(5 * m - 4, 2 * m))
+    return A_ub, np.concatenate([np.tile(np.diff(u), 4), np.zeros(m)])
+
+
 def ldce_dual_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
                        eps2: float = 0.005) -> DualSolution:
     """Solve the reduced dual LP and return the witness variables."""
-    import scipy.sparse as sp
-
     _check_eps(eps1, eps2)
     u, sv, sy, gamma = _discretize(dist, eps1, eps2)
     m = len(u)
     c = np.zeros(2 * m)  # variables: r0 (m) | r1 (m)
     np.add.at(c, np.searchsorted(u, sv) + m * sy, gamma)
-    step = sp.diags([-np.ones(m - 1), np.ones(m - 1)], [0, 1], shape=(m - 1, m))
-    A_ub = sp.vstack([
-        # |r(u_{i+1}, y) - r(u_i, y)| <= u_{i+1} - u_i on both chains
-        sp.kron(sp.eye(2), sp.vstack([step, -step])),
-        # (1 - u) r(u, 0) + u r(u, 1) <= 0
-        sp.hstack([sp.diags(1.0 - u), sp.diags(u)]),
-    ], format="csr")
-    b_ub = np.concatenate([np.tile(np.diff(u), 4), np.zeros(m)])
-    objective, x = _run_lp(-c, A_ub=A_ub, b_ub=b_ub)
+    objective, x = _run_lp(-c, *_dual_constraints(u))
     # clamp to +0.0 as smce does: max(-objective, 0.0) would keep a -0.0
     return DualSolution(u=u, r0=x[:m], r1=x[m:], objective=-objective if objective < 0.0 else 0.0)
 

@@ -559,6 +559,23 @@ def ldce_primal_solution(dist: EmpiricalDistribution, eps1: float = 0.005,
                             mass=res.x.reshape(m, q), objective=max(float(res.fun), 0.0))
 
 
+def dual_constraints_stacked(u: np.ndarray):
+    """(A_ub, b_ub) of ``ldce``'s reduced dual, stacked from scipy.sparse blocks.
+
+    The Kronecker product stores its blocks dense when they are dense enough,
+    so for m <= 4 grid points the matrix keeps explicit zeros.
+    """
+    m = len(u)
+    step = sp.diags([-np.ones(m - 1), np.ones(m - 1)], [0, 1], shape=(m - 1, m))
+    A_ub = sp.vstack([
+        # |r(u_{i+1}, y) - r(u_i, y)| <= u_{i+1} - u_i on both chains
+        sp.kron(sp.eye(2), sp.vstack([step, -step])),
+        # (1 - u) r(u, 0) + u r(u, 1) <= 0
+        sp.hstack([sp.diags(1.0 - u), sp.diags(u)]),
+    ], format="csr")
+    return A_ub, np.concatenate([np.tile(np.diff(u), 4), np.zeros(m)])
+
+
 def ldce_both_forms(dist: EmpiricalDistribution, eps1: float = 0.005,
                     eps2: float = 0.005) -> tuple[float, float]:
     """(primal objective, dual objective); strong duality makes them agree."""

@@ -529,3 +529,96 @@ def test_plain_files_skip_the_line_scan(tmp_path, monkeypatch):
     stray.write_bytes(b"v,y\r\n0.5,1\r")
     with pytest.raises(AssertionError, match="line scan"):
         _read_samples(str(stray))
+
+
+def _float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _read_bits(path):
+    dist, _ = _read_samples(str(path))
+    return [x.hex() for x in dist.v.tolist()], dist.y.tolist()
+
+
+def _count_loadtxt(monkeypatch) -> list:
+    """A list that grows by one on each np.loadtxt call."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+def _no_line_scan(path, raw):
+    raise AssertionError(f"line scan of {path}")
+
+
+# (prediction, whether it is within the exact decimal pass's limits)
+_DECIMAL_LIMITS = [
+    ("0.9007199254740991", True),  # digits 2**53 - 1
+    ("0.9007199254740992", False),  # digits 2**53
+    ("0." + "0" * 21 + "1", True),  # 22 fraction digits
+    ("0." + "0" * 21 + "7", True),
+    ("0." + "0" * 22 + "1", False),  # 23: 10**23 is not a double
+    ("0." + "0" * 22 + "7", False),
+    (".5", True), ("1.", True), ("000.250", True), ("0.000", True), ("1.000", True),
+    ("0", True), ("1", True), ("0.1", True), ("0.3", True), ("0.999999999999999", True),
+    ("0.5.5", False), ("..5", False), ("5..", False), (".", False), ("0.2e0", False),
+]
+
+
+@pytest.mark.parametrize("field,decimal", _DECIMAL_LIMITS)
+def test_decimal_pass_gives_float_bits_at_its_limits(tmp_path, monkeypatch, field, decimal):
+    calls = _count_loadtxt(monkeypatch)
+    path = tmp_path / "d.csv"
+    for rows in ([field], [field, "0.25", "1.000"]):
+        text = "v,y\n" + "".join(f"{v},{k % 2}\n" for k, v in enumerate(rows))
+        # as written, with no final newline, and with CRLF line ends
+        for raw in (text, text[:-1], text.replace("\n", "\r\n")):
+            path.write_bytes(raw.encode())
+            try:
+                want = _float_bits(rows), [k % 2 for k in range(len(rows))]
+            except ValueError:
+                with pytest.raises(ParseError, match="line 2: bad prediction"):
+                    _read_samples(str(path))
+                continue
+            before = len(calls)
+            assert _read_bits(path) == want
+            assert (len(calls) == before) == decimal
+
+
+# a value in [0, 1] at 0 to 22 decimals, with or without its trailing zeros
+_DECIMAL_TEXT = st.builds(
+    lambda x, k, strip, lead: lead + (f"{x:.{k}f}".rstrip("0") if strip else f"{x:.{k}f}"),
+    st.floats(0.0, 1.0), st.integers(0, 22), st.booleans(), st.sampled_from(["", "0", "00"]),
+).filter(lambda t: t.rstrip(".") and float(t) <= 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(_DECIMAL_TEXT, min_size=1, max_size=30), crlf=st.booleans())
+def test_decimal_renderings_read_as_float(tmp_path, values, crlf):
+    text = "v,y\n" + "".join(f"{v},1\n" for v in values)
+    raw = text.encode().replace(b"\n", b"\r\n") if crlf else text.encode()
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    assert _read_bits(path) == (_float_bits(values), [1] * len(values))
+
+
+def test_three_decimal_files_skip_loadtxt(tmp_path, monkeypatch):
+    rng = np.random.default_rng(13)
+    v, y = rng.random(40_000).tolist(), rng.integers(0, 2, 40_000).tolist()
+    three = tmp_path / "three.csv"
+    three.write_text("v,y\n" + "".join(f"{a:.3f},{b}\n" for a, b in zip(v, y)))
+    full = tmp_path / "full.csv"
+    full.write_text("v,y\n" + "".join(f"{a!r},{b}\n" for a, b in zip(v, y)))
+    calls = _count_loadtxt(monkeypatch)
+    monkeypatch.setattr("calibdist.cli._parse_lines", _no_line_scan)
+    dist, _ = _read_samples(str(three))
+    assert calls == [] and dist.v.tolist() == [float(f"{a:.3f}") for a in v]
+    dist, _ = _read_samples(str(full))
+    assert calls == [1] and dist.v.tolist() == v

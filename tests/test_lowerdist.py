@@ -20,8 +20,8 @@ from calibdist import lowerdist
 from calibdist.cli import main
 from calibdist.lowerdist import refine_grid
 
-from _oracles import (ldce_both_forms, ldce_primal_solution, random_distribution,
-                      refine_grid_loop)
+from _oracles import (dual_constraints_stacked, ldce_both_forms, ldce_primal_solution,
+                      random_distribution, refine_grid_loop)
 
 SLACK = 3 * (0.005 + 0.005) + 1e-6
 
@@ -143,6 +143,28 @@ def test_dual_lp_has_two_chains_and_no_boxes(monkeypatch):
     sol = ldce_dual_solution(make_empirical([(0.3, 1), (0.3, 0), (0.8, 1)]))
     m = len(sol.u)
     assert seen == [(2 * m, (5 * m - 4, 2 * m), 5 * m - 4)]
+
+
+def test_dual_constraints_match_stacked_blocks(monkeypatch):
+    rng = np.random.default_rng(46)
+    dists = [random_distribution(rng, max_n=60) for _ in range(8)]
+    dists += [make_empirical([(0.0, 0), (1.0, 1)]), make_empirical([(0.5, 1)])]
+    for d in dists:
+        for eps in (0.005, 0.1, 0.3, 0.5):
+            u = lowerdist._discretize(d, eps, eps)[0]
+            got, b = lowerdist._dual_constraints(u)
+            want, b_want = dual_constraints_stacked(u)
+            want.eliminate_zeros()  # the dense Kronecker blocks of m <= 4
+            assert got.shape == want.shape and got.has_sorted_indices
+            for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data), (b, b_want)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    fast = [ldce_dual_solution(d, eps, eps) for d in dists for eps in (0.005, 0.5)]
+    monkeypatch.setattr(lowerdist, "_dual_constraints", dual_constraints_stacked)
+    stacked = [ldce_dual_solution(d, eps, eps) for d in dists for eps in (0.005, 0.5)]
+    for a, b in zip(fast, stacked):
+        assert a.objective.hex() == b.objective.hex()
+        assert a.r0.tobytes() == b.r0.tobytes() and a.r1.tobytes() == b.r1.tobytes()
 
 
 def test_zero_value_is_positive_zero(tmp_path, capsys):

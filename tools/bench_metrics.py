@@ -11,10 +11,14 @@ its default options, and its time is the minimum of three calls.  Every call
 gets a fresh ``EmpiricalDistribution``, built outside the timed region, so a
 view the distribution caches on first use (``grouped()``) is paid for in each
 call and not served from an earlier one.  The ``group`` row times that view
-alone; in a tree without it, ``core.distinct_predictions``, its builder.  The file
-also records the machine (cpu count, Python, numpy and scipy versions, the
-BLAS thread variables and ``/proc/loadavg`` before and after) and the line
-count of ``<tree>/src/calibdist/*.py``.  It is written into ``tools/``.
+alone; in a tree without it, ``core.distinct_predictions``, its builder.  The
+``ingest`` row times ``cli._read_samples`` on the rows written as a ``v,y``
+CSV (``repr`` at full precision, ``%.3f`` at three decimals) into a temporary
+directory before timing.  The file also records ``import calibdist`` and
+``import numpy`` (each the minimum over five fresh interpreters, timed inside
+them), the machine (cpu count, Python, numpy and scipy versions, the BLAS
+thread variables and ``/proc/loadavg`` before and after) and the line count
+of ``<tree>/src/calibdist/*.py``.  It is written into ``tools/``.
 
 Two trees are compared by running them alternately in one session, e.g. a
 ``git archive`` copy of the parent commit and the working tree:
@@ -30,7 +34,9 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -39,6 +45,7 @@ import numpy as np
 SIZES = (10_000, 100_000, 1_000_000)
 DECIMALS = (None, 3)  # None keeps full precision
 REPEATS = 3
+IMPORT_REPEATS = 5
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -64,6 +71,21 @@ def _rows(n: int, decimals: int | None) -> tuple[np.ndarray, np.ndarray]:
     y = (rng.random(n) < f).astype(np.int8)
     v = 1.0 / (1.0 + np.exp(-(np.log(f) - np.log1p(-f))))  # dbeta at beta 1
     return (v if decimals is None else np.round(v, decimals)), y
+
+
+def _import_seconds(module: str, src: Path) -> list[float]:
+    """Seconds to import ``module`` in each of IMPORT_REPEATS fresh interpreters."""
+    probe = f"import time; t = time.perf_counter(); import {module}; print(time.perf_counter() - t)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return [float(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                 capture_output=True, text=True).stdout)
+            for _ in range(IMPORT_REPEATS)]
+
+
+def _write_csv(path: Path, v: np.ndarray, y: np.ndarray, decimals: int | None) -> None:
+    fmt = "{!r},{}\n" if decimals is None else f"{{:.{decimals}f}},{{}}\n"
+    path.write_text("v,y\n" + "".join(fmt.format(a, b) for a, b in zip(v.tolist(), y.tolist())),
+                    encoding="ascii")
 
 
 def _metrics(cd):
@@ -101,26 +123,35 @@ def main(argv=None) -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import calibdist as cd
+    from calibdist.cli import _read_samples
 
     out = {"label": args.label, "machine": _machine(), "loadavg_before": _loadavg(),
            "src_lines": sum(len(p.read_text().splitlines())
                             for p in sorted((src / "calibdist").glob("*.py"))),
-           "repeats": REPEATS, "times": []}
-    for n in SIZES:
-        for decimals in DECIMALS:
-            v, y = _rows(n, decimals)
-            distinct = len(np.unique(v))
-            for name, call in _metrics(cd):
-                runs = []
-                for _ in range(REPEATS):
-                    dist = cd.EmpiricalDistribution(v, y)
-                    start = time.perf_counter()
-                    call(dist)
-                    runs.append(time.perf_counter() - start)
-                row = {"metric": name, "n": n, "decimals": decimals, "distinct": distinct,
-                       "min_s": min(runs), "runs_s": runs}
-                out["times"].append(row)
-                print(json.dumps(row), flush=True)
+           "import_s": {}, "repeats": REPEATS, "times": []}
+    for module in ("numpy", "calibdist"):
+        runs = _import_seconds(module, src)
+        out["import_s"][module] = {"min_s": min(runs), "runs_s": runs}
+    print(json.dumps(out["import_s"]), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in SIZES:
+            for decimals in DECIMALS:
+                v, y = _rows(n, decimals)
+                distinct = len(np.unique(v))
+                csv = Path(tmp) / "rows.csv"
+                _write_csv(csv, v, y, decimals)
+                ingest = ("ingest", lambda _: _read_samples(str(csv)))
+                for name, call in [ingest, *_metrics(cd)]:
+                    runs = []
+                    for _ in range(REPEATS):
+                        dist = cd.EmpiricalDistribution(v, y)
+                        start = time.perf_counter()
+                        call(dist)
+                        runs.append(time.perf_counter() - start)
+                    row = {"metric": name, "n": n, "decimals": decimals, "distinct": distinct,
+                           "min_s": min(runs), "runs_s": runs}
+                    out["times"].append(row)
+                    print(json.dumps(row), flush=True)
     out["loadavg_after"] = _loadavg()
     path = Path(__file__).resolve().parent / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="ascii")

@@ -24,8 +24,10 @@ fourier and the binning kernel, ``--bins 1000``, ``--metrics sintce`` at ``--eps
 0.005`` (widths down to 2^-9) and at ``--eps 1e-4`` (down to 2^-15, with
 4,563,025,980 shifts per width), ``reliability`` at 20, 1000 and 100000 bins
 (the last mostly empty bins and bins of every small count); one ``sweep`` and
-one unknown metric.  Each ``--input`` file adds ``measure --metrics all`` and
-``reliability`` on that file.
+one unknown metric.  ``measure --metrics all`` and ``reliability`` then run
+on a decimal file this script writes (three-decimal dbeta rows and the edge
+forms the exact decimal reader takes), on its CRLF copy, and on each
+``--input`` file.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ import os
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 GENERATE = (
     ("dbeta-0.5", ["--family", "dbeta", "--beta", "0.5", "--n", "2000", "--seed", "3"]),
@@ -69,6 +73,11 @@ PER_INPUT = (
     ("all-exact", ["measure", "--metrics", "all"]),
     ("reliability", ["reliability"]),
 )
+# predictions within the exact decimal reader's limits: no integer digit, no
+# fraction digit, padding zeros, 2**53 - 1 as the digits, 22 fraction digits
+DECIMAL_EDGES = (".5", "1.", "000.250", "0.000", "1.000", "0", "1",
+                 "0.9007199254740991", "0." + "0" * 21 + "1")
+DECIMAL_INPUTS = ("decimal", "decimal-crlf")
 SWEEP = ["sweep", "--beta-grid", "0.5,1,2", "--n", "300", "--trials", "2", "--metrics", "all"]
 
 
@@ -82,10 +91,23 @@ def commands(extra_inputs: list[str]) -> list[tuple[str, list[str]]]:
     out.append(("sweep", SWEEP))
     out.append(("unknown-metric", ["measure", "--input", f"inputs/{GENERATE[0][0]}.csv",
                                    "--metrics", "nope"]))
-    for i, _ in enumerate(extra_inputs):
-        out += [(f"{label}-input{i}", [*argv, "--input", f"inputs/input{i}.csv"])
+    for name in [*DECIMAL_INPUTS, *(f"input{i}" for i in range(len(extra_inputs)))]:
+        out += [(f"{label}-{name}", [*argv, "--input", f"inputs/{name}.csv"])
                 for label, argv in PER_INPUT]
     return out
+
+
+def write_decimal_inputs(where: Path) -> None:
+    """Write ``decimal.csv`` (2,000 three-decimal dbeta rows at beta 2, seed 1,
+    then ``DECIMAL_EDGES``) and its CRLF copy ``decimal-crlf.csv``."""
+    rng = np.random.default_rng(1)
+    f = rng.random(2000)
+    y = (rng.random(2000) < f).astype(int).tolist()
+    v = [f"{p:.3f}" for p in (f**2 / (f**2 + (1 - f) ** 2)).tolist()]
+    rows = zip([*v, *DECIMAL_EDGES], [*y, *(k % 2 for k in range(len(DECIMAL_EDGES)))])
+    text = "v,y\n" + "".join(f"{p},{label}\n" for p, label in rows)
+    (where / "decimal.csv").write_bytes(text.encode("ascii"))
+    (where / "decimal-crlf.csv").write_bytes(text.replace("\n", "\r\n").encode("ascii"))
 
 
 def run_one(main, argv: list[str], where: Path) -> None:
@@ -112,6 +134,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True)
     (out / "inputs").mkdir()
+    write_decimal_inputs(out / "inputs")
     for i, path in enumerate(args.input):
         shutil.copyfile(path, out / "inputs" / f"input{i}.csv")
     sys.path.insert(0, str(Path(args.src).resolve()))
