@@ -15,12 +15,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .binning import binned_ece, ece, uniform_partition
-from .core import EmpiricalDistribution, SeededRng, reliability_bins
+from .core import EmpiricalDistribution, SeededRng, check_bins, reliability_bins
 from .errors import BadConfig, CalibrationError, SolverFailure
 from .fixtures import (
     GaussGapConfig,
@@ -288,8 +289,6 @@ def _compute_metric(name: str, dist: EmpiricalDistribution, args, seed_root: See
                 entry["caveats"].append("negative squared estimate clamped to 0 before sqrt")
         if args.kce_mode in ("fourier", "binning"):
             entry["config"]["reps_r"] = cfg.reps_r if cfg.reps_r is not None else default_reps()
-    else:
-        raise CalibrationError(f"unknown metric {name!r}")
     return entry
 
 
@@ -375,18 +374,13 @@ def _parse_beta_grid(arg: str) -> list[float]:
     return grid
 
 
-def _sweep_cell(task):
+def _sweep_cell(args, metrics, cell):
     """One (beta, trial) evaluation; module-level so process pools can pickle it."""
-    beta, beta_idx, trial, seed, n, metrics, bins, eps = task
-    rng = SeededRng(seed).substream(beta_idx, trial)
-    dist = gen_dbeta(SyntheticConfig(beta=beta, n=n, rng=rng.substream(0)))
-    ns = argparse.Namespace(bins=bins, eps=eps, kce_mode="exact",
-                            kce_terms=None, kce_reps=None)
-    rows = []
-    for name in metrics:
-        entry = _compute_metric(name, dist, ns, rng.substream(1))
-        rows.append((beta, trial, name, entry["value"]))
-    return rows
+    beta_idx, beta, trial = cell
+    rng = SeededRng(args.seed).substream(beta_idx, trial)
+    dist = gen_dbeta(SyntheticConfig(beta=beta, n=args.n, rng=rng.substream(0)))
+    return [(beta, trial, name, _compute_metric(name, dist, args, rng.substream(1))["value"])
+            for name in metrics]
 
 
 def cmd_sweep(args) -> int:
@@ -396,18 +390,15 @@ def cmd_sweep(args) -> int:
         raise CalibrationError(f"--trials must be >= 1, got {args.trials}")
     grid = _parse_beta_grid(args.beta_grid)
     metrics = _resolve_metrics(args.metrics)
-    tasks = [
-        (beta, bi, trial, args.seed, args.n, metrics, args.bins, args.eps)
-        for bi, beta in enumerate(grid)
-        for trial in range(args.trials)
-    ]
+    cells = [(bi, beta, trial) for bi, beta in enumerate(grid) for trial in range(args.trials)]
+    run = partial(_sweep_cell, args, metrics)
     if args.jobs > 1:
         # imported here, so that a CLI start without a pool does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_cell, tasks))
+            results = list(pool.map(run, cells))
     else:
-        results = [_sweep_cell(t) for t in tasks]
+        results = list(map(run, cells))
     lines = ["beta,trial,metric,value"]
     for rows in results:
         for beta, trial, name, value in rows:
@@ -417,8 +408,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reliability(args) -> int:
-    if args.bins < 1:
-        raise CalibrationError(f"--bins must be >= 1, got {args.bins}")
+    check_bins(args.bins)
     dist, _ = _read_samples(args.input)
     full, empty = "%.12g,%.12g,%d,%.12g,%.12g", "%.12g,%.12g,%d,,"  # an empty bin has no means
     rows = ["lo,hi,count,mean_v,mean_y"]
@@ -467,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--output", default=None)
-    s.set_defaults(func=cmd_sweep)
+    # a sweep cell runs measure's metric code with the exact kernel
+    s.set_defaults(func=cmd_sweep, kce_mode="exact", kce_terms=None, kce_reps=None)
 
     r = sub.add_parser("reliability", help="reliability-diagram bin data as CSV")
     r.add_argument("--input", required=True)

@@ -264,11 +264,19 @@ def reliability_bins(dist: EmpiricalDistribution, bins: int) -> ReliabilityColum
     """Equal-width reliability-diagram summary.
 
     Bins are [i/bins, (i+1)/bins), half-open, with the last bin closed at 1
-    so counts always sum to n.  At most ``MAX_BINS`` bins.  Each mean is the
-    slice ``.mean()`` of the bin's samples in input order, bit for bit.
+    so counts always sum to n: the bins of ``uniform_partition(bins)``, so a
+    sample lands where ``binned_ece`` counts it.  At most ``MAX_BINS`` bins.
+    Each mean is the slice ``.mean()`` of the bin's samples in input order,
+    bit for bit.
     """
     bins = check_bins(bins)
+    edges = np.arange(bins + 1) / bins
     idx = np.minimum((dist.v * bins).astype(np.int64), bins - 1)
+    # floor(v * bins) can miss by one next to a rounded edge; one comparison
+    # with each neighbouring edge gives the partition's bin_index in O(n)
+    idx -= dist.v < edges[idx]
+    idx += dist.v >= edges[idx + 1]
+    np.minimum(idx, bins - 1, out=idx)
     # A stable sort lays each bin's samples out in input order as one slice.
     v = dist.v[np.argsort(idx, kind="stable")]
     count = np.bincount(idx, minlength=bins)
@@ -282,7 +290,7 @@ def reliability_bins(dist: EmpiricalDistribution, bins: int) -> ReliabilityColum
     for length, rows in zip(lengths.tolist(), np.split(by_count, firsts[1:])):
         sum_v[rows] = v[start[rows, None] + np.arange(length)].sum(axis=1)
     with np.errstate(invalid="ignore"):  # 0 / 0 is the NaN of an empty bin
-        out = ReliabilityColumns(np.arange(bins) / bins, np.arange(1, bins + 1) / bins, count,
+        out = ReliabilityColumns(edges[:-1], edges[1:], count,
                                  sum_v / count,
                                  np.bincount(idx, weights=dist.y, minlength=bins) / count)
     for column in out:

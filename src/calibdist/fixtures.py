@@ -293,14 +293,10 @@ def udce_bruteforce(dist: EmpiricalDistribution) -> float:
     gets its conditional label mean, so grouping the distinct predictions
     into blocks and averaging enumerates all candidates.
     """
-    values, inverse = np.unique(dist.v, return_inverse=True)
-    k = len(values)
-    if k > _PARTITION_CAP:
-        raise TooLarge(f"brute force capped at {_PARTITION_CAP} distinct values, got {k}")
-    counts = np.bincount(inverse, minlength=k)
-    p = (counts / dist.n).tolist()
-    ymass = (np.bincount(inverse, weights=dist.y.astype(float), minlength=k) / dist.n).tolist()
-    return _min_partition_cost(p, ymass, values.tolist())
+    u, count, ones, _ = dist.grouped()
+    if len(u) > _PARTITION_CAP:
+        raise TooLarge(f"brute force capped at {_PARTITION_CAP} distinct values, got {len(u)}")
+    return _min_partition_cost((count / dist.n).tolist(), (ones / dist.n).tolist(), u.tolist())
 
 
 def induce_gamma(prob: FiniteProblem, n: int, rng: SeededRng) -> EmpiricalDistribution:

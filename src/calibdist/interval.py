@@ -252,6 +252,5 @@ def sintce_exact(dist: EmpiricalDistribution, epsilon: float = 0.01) -> float:
     Same dyadic-width minimization as ``sintce_hat`` but with no Monte Carlo
     error; used as the deterministic reference in tests and reports.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise BadConfig(f"epsilon must be in (0, 1), got {epsilon}")
+    IntervalEstimatorConfig(epsilon=epsilon)  # the same check of epsilon as sintce_hat's
     return _sintce(dist, epsilon, None, None)

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import calibdist
+from calibdist.binning import uniform_partition
 from calibdist.core import EmpiricalDistribution, SeededRng, round_to_grid, sorted_pairs
 from calibdist.errors import BadConfig, TooLarge
 from calibdist.interval import width_exponent
@@ -260,7 +261,7 @@ def reliability_bins_masks(dist: EmpiricalDistribution, bins: int) -> list[tuple
 
     The means are None for an empty bin.
     """
-    idx = np.minimum((dist.v * bins).astype(np.int64), bins - 1)
+    idx = uniform_partition(bins).bin_index(dist.v)
     out = []
     for b in range(bins):
         mask = idx == b

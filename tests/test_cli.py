@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import calibdist
-from calibdist import SolverFailure
-from calibdist.cli import ParseError, _parse_lines, _read_samples, main
+from calibdist import SeededRng, SolverFailure, SyntheticConfig, gen_dbeta
+from calibdist.cli import (METRIC_NAMES, ParseError, _compute_metric, _parse_lines, _read_samples,
+                           build_parser, main)
 
 
 def _write_csv(path, pairs):
@@ -346,6 +347,21 @@ def test_sweep_deterministic_and_parallel_consistent(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_values_are_measure_metric_values(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--beta-grid", "0.5,2", "--trials", "2", "--metrics", "all",
+                 "--n", "150", "--seed", "4", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 2 * len(METRIC_NAMES)
+    measure = build_parser().parse_args(["measure", "--input", "-"])
+    grid = {"0.5": (0, 0.5), "2": (1, 2.0)}
+    for beta, trial, name, value in rows:
+        rng = SeededRng(4).substream(grid[beta][0], int(trial))
+        dist = gen_dbeta(SyntheticConfig(beta=grid[beta][1], n=150, rng=rng.substream(0)))
+        want = _compute_metric(name, dist, measure, rng.substream(1))["value"]
+        assert value == f"{want:.12g}", (beta, trial, name)
+
+
 def test_reliability_rows(tmp_path):
     src = tmp_path / "d.csv"
     _write_csv(src, [(0.1, 0), (0.9, 1)])
@@ -359,10 +375,12 @@ def test_reliability_rows(tmp_path):
     assert sum(counts) == 2
 
 
-def test_reliability_bins_zero_exit_one(tmp_path):
+def test_reliability_bins_zero_exit_one(tmp_path, capsys):
     src = tmp_path / "d.csv"
     _write_csv(src, [(0.5, 1)])
-    assert main(["reliability", "--input", str(src), "--bins", "0"]) == 1
+    for path in (src, tmp_path / "missing.csv"):  # --bins is checked before the input is read
+        assert main(["reliability", "--input", str(path), "--bins", "0"]) == 1
+        assert capsys.readouterr().err == "calib: error: bins must be a positive integer, got 0\n"
 
 
 def test_reliability_calibrated_bins(tmp_path):
@@ -467,6 +485,31 @@ def _csv_bytes(draw):
     return raw
 
 
+# a value in [0, 1] at 0 to 22 decimals, with or without its trailing zeros
+_DECIMAL_TEXT = st.builds(
+    lambda x, k, strip, lead: lead + (f"{x:.{k}f}".rstrip("0") if strip else f"{x:.{k}f}"),
+    st.floats(0.0, 1.0), st.integers(0, 22), st.booleans(), st.sampled_from(["", "0", "00"]),
+).filter(lambda t: t.rstrip(".") and float(t) <= 1.0)
+
+
+# fields that look decimal but are outside the exact pass's form or limits
+_NEAR_MISS = st.one_of(
+    st.sampled_from(["0..5", "0.5.5", "5..", ".", "0.2e0", "+0.5", "-0", "0.9007199254740992"]),
+    st.floats(0.0, 1.0).map(lambda x: f"{x:.23f}"),  # 23 fraction digits
+)
+
+
+@st.composite
+def _decimal_bytes_with_near_miss(draw):
+    """A file of decimal rows the exact pass takes, but for one near-miss row."""
+    values = draw(st.lists(_DECIMAL_TEXT, min_size=1, max_size=12))
+    values.insert(draw(st.integers(0, len(values))), draw(_NEAR_MISS))
+    labels = draw(st.lists(st.sampled_from("01"), min_size=len(values), max_size=len(values)))
+    raw = ("v,y\n" + "".join(f"{v},{y}\n" for v, y in zip(values, labels))).encode()
+    end = draw(st.sampled_from([b"\n", b"\r\n", b""]))
+    return raw[:-1] if end == b"" else raw.replace(b"\n", end)
+
+
 def _reader_outcome(read, path):
     try:
         v, y, digest = read(path)
@@ -477,7 +520,7 @@ def _reader_outcome(read, path):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(raw=_csv_bytes())
+@given(raw=st.one_of(_csv_bytes(), _decimal_bytes_with_near_miss()))
 @example(raw=b"v,y\n")
 @example(raw=b"v,y\n0.5,1")
 @example(raw=b"v,y\r\n0.5,1\r\n")
@@ -589,13 +632,6 @@ def test_decimal_pass_gives_float_bits_at_its_limits(tmp_path, monkeypatch, fiel
             before = len(calls)
             assert _read_bits(path) == want
             assert (len(calls) == before) == decimal
-
-
-# a value in [0, 1] at 0 to 22 decimals, with or without its trailing zeros
-_DECIMAL_TEXT = st.builds(
-    lambda x, k, strip, lead: lead + (f"{x:.{k}f}".rstrip("0") if strip else f"{x:.{k}f}"),
-    st.floats(0.0, 1.0), st.integers(0, 22), st.booleans(), st.sampled_from(["", "0", "00"]),
-).filter(lambda t: t.rstrip(".") and float(t) <= 1.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,

@@ -13,6 +13,7 @@ from calibdist import (
     make_empirical,
     reliability_bins,
     round_to_grid,
+    uniform_partition,
 )
 
 from calibdist.core import distinct_predictions
@@ -197,6 +198,20 @@ def test_reliability_bins_match_masks_bitwise():
             columns = reliability_bins(d, bins)
             got = fields(zip(*(c.tolist() for c in columns)))
             assert got == fields(reliability_bins_masks(d, bins))
+
+
+def test_reliability_bins_match_partition_at_edges():
+    # floor(v * bins) put these one bin low or high; binned_ece's partition decides
+    assert reliability_bins(make_empirical([(0.44999999999999996, 1)]), 20).count[8] == 1
+    assert reliability_bins(make_empirical([(1 / 49, 1)]), 49).count[1] == 1
+    for bins in (7, 20, 49, 1000):
+        edges = np.arange(bins + 1) / bins
+        v = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+        columns = reliability_bins(EmpiricalDistribution(v, np.ones(v.size)), bins)
+        want = np.bincount(uniform_partition(bins).bin_index(v), minlength=bins)
+        assert columns.count.tolist() == want.tolist()
+        assert columns.lo.tolist() == edges[:-1].tolist()
+        assert columns.hi.tolist() == edges[1:].tolist()
 
 
 def test_seeded_rng_reproducible():

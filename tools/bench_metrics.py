@@ -1,24 +1,26 @@
-"""Time each metric's public API on one source tree and write ``BENCH_<label>.json``.
+"""Time each metric as ``calib measure`` runs it, on one tree; write ``BENCH_<label>.json``.
 
     python3 tools/bench_metrics.py --src <tree>/src --label L
 
-The tree's ``calibdist`` is imported in this interpreter, with ``<tree>/src``
-first on ``sys.path``.  Inputs are dbeta rows (beta 1, seed 1, labels drawn
-with probability f) at 10^4, 10^5 and 10^6 rows, once at full precision and
-once rounded to three decimals; numpy makes them, so both trees time the
-same rows.  Each metric runs as ``calib measure --metrics all`` runs it with
-its default options, and its time is the minimum of three calls.  Every call
-gets a fresh ``EmpiricalDistribution``, built outside the timed region, so a
-view the distribution caches on first use (``grouped()``) is paid for in each
-call and not served from an earlier one.  The ``group`` row times that view
-alone; in a tree without it, ``core.distinct_predictions``, its builder.  The
-``ingest`` row times ``cli._read_samples`` on the rows written as a ``v,y``
-CSV (``repr`` at full precision, ``%.3f`` at three decimals) into a temporary
-directory before timing.  The file also records ``import calibdist`` and
-``import numpy`` (each the minimum over five fresh interpreters, timed inside
-them), the machine (cpu count, Python, numpy and scipy versions, the BLAS
-thread variables and ``/proc/loadavg`` before and after) and the line count
-of ``<tree>/src/calibdist/*.py``.  It is written into ``tools/``.
+The tree's ``calibdist`` is imported in this interpreter, with
+``<tree>/src`` first on ``sys.path``.  Inputs are dbeta rows (beta 1, seed 1,
+labels drawn with probability f) at 10^4, 10^5 and 10^6 rows, once at full
+precision and once rounded to three decimals; numpy makes them, so both
+trees time the same rows.  Each metric runs through the CLI's own dispatch,
+``cli._compute_metric``, with ``calib measure``'s default options, as
+``calib measure --metrics all`` runs it; its time is the minimum of three
+calls.  Every call gets a fresh ``EmpiricalDistribution``, built outside the
+timed region, so a view the distribution caches on first use (``grouped()``)
+is paid for in each call and not served from an earlier one.  The ``group``
+row times that view alone; in a tree without it,
+``core.distinct_predictions``, its builder.  The ``ingest`` row times
+``cli._read_samples`` on the rows written as a ``v,y`` CSV (``repr`` at full
+precision, ``%.3f`` at three decimals) into a temporary directory before
+timing.  The file also records ``import calibdist`` and ``import numpy``
+(each the minimum over five fresh interpreters, timed inside them), the
+machine (cpu count, Python, numpy and scipy versions, the BLAS thread
+variables and ``/proc/loadavg`` before and after) and the line count of
+``<tree>/src/calibdist/*.py``.  It is written into ``tools/``.
 
 Two trees are compared by running them alternately in one session, e.g. a
 ``git archive`` copy of the parent commit and the working tree:
@@ -89,30 +91,18 @@ def _write_csv(path: Path, v: np.ndarray, y: np.ndarray, decimals: int | None) -
 
 
 def _metrics(cd):
-    """(name, call): the grouped view, then each metric of ``calib measure --metrics all``
-    with its defaults."""
-    from calibdist.cli import LDCE_EPS1, LDCE_EPS2, METRIC_NAMES
+    """(name, call): the grouped view, then each metric of ``calib measure --metrics all``,
+    run by the CLI's own dispatch with ``measure``'s default options."""
+    from calibdist import cli
 
-    def rng(name):
-        return cd.SeededRng(0).substream(METRIC_NAMES.index(name))
+    defaults = cli.build_parser().parse_args(["measure", "--input", "-"])
 
-    def kce(kind, name):
-        return lambda d: cd.kce_estimate_squared(d, kind, cd.KernelEstimatorConfig(rng=rng(name)))
+    def metric(name):
+        return lambda d: cli._compute_metric(name, d, defaults, cd.SeededRng(defaults.seed))
 
     group = ((lambda d: d.grouped()) if hasattr(cd.EmpiricalDistribution, "grouped")
              else cd.core.distinct_predictions)
-    return [
-        ("group", group),
-        ("ece", cd.ece),
-        ("binned-ece", lambda d: cd.binned_ece(d, cd.uniform_partition(20))),
-        ("binned-ece-w", lambda d: cd.binned_ece(d, cd.uniform_partition(20), width_penalty=True)),
-        ("sintce", lambda d: cd.sintce_hat(
-            d, cd.IntervalEstimatorConfig(epsilon=0.01, rng=rng("sintce")))),
-        ("smce", cd.smce),
-        ("ldce", lambda d: cd.ldce(d, LDCE_EPS1, LDCE_EPS2)),
-        ("kce-laplace", kce(cd.KernelKind.LAPLACE, "kce-laplace")),
-        ("kce-gaussian", kce(cd.KernelKind.GAUSSIAN, "kce-gaussian")),
-    ]
+    return [("group", group), *((name, metric(name)) for name in cli.METRIC_NAMES)]
 
 
 def main(argv=None) -> int:

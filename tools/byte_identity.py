@@ -23,8 +23,12 @@ with the exact and the subsample kernel, the Laplace-only metric set with the
 fourier and the binning kernel, ``--bins 1000``, ``--metrics sintce`` at ``--eps
 0.005`` (widths down to 2^-9) and at ``--eps 1e-4`` (down to 2^-15, with
 4,563,025,980 shifts per width), ``reliability`` at 20, 1000 and 100000 bins
-(the last mostly empty bins and bins of every small count); one ``sweep`` and
-one unknown metric.  ``measure --metrics all`` and ``reliability`` then run
+(the last mostly empty bins and bins of every small count); one ``sweep``, in
+process and at ``--jobs 2`` (where the parsed options are pickled to the
+workers), one unknown metric and ``reliability --bins 0``.  ``reliability`` at
+20 and 49 bins and ``measure --metrics binned-ece,binned-ece-w --bins 49`` run
+on a bin-edge file this script writes: every k/20 and k/49 and the floats one
+ulp either side of each.  ``measure --metrics all`` and ``reliability`` then run
 on a decimal file this script writes (three-decimal dbeta rows and the edge
 forms the exact decimal reader takes), on its CRLF copy, and on each
 ``--input`` file.
@@ -79,6 +83,12 @@ DECIMAL_EDGES = (".5", "1.", "000.250", "0.000", "1.000", "0", "1",
                  "0.9007199254740991", "0." + "0" * 21 + "1")
 DECIMAL_INPUTS = ("decimal", "decimal-crlf")
 SWEEP = ["sweep", "--beta-grid", "0.5,1,2", "--n", "300", "--trials", "2", "--metrics", "all"]
+EDGE_BINS = (20, 49)
+ON_EDGES = (
+    ("reliability-20", ["reliability", "--bins", "20"]),
+    ("reliability-49", ["reliability", "--bins", "49"]),
+    ("binned-49", ["measure", "--metrics", "binned-ece,binned-ece-w", "--bins", "49"]),
+)
 
 
 def commands(extra_inputs: list[str]) -> list[tuple[str, list[str]]]:
@@ -88,9 +98,12 @@ def commands(extra_inputs: list[str]) -> list[tuple[str, list[str]]]:
     for name, _ in GENERATE:
         out += [(f"{label}-{name}", [*argv, "--input", f"inputs/{name}.csv"])
                 for label, argv in PER_FILE]
-    out.append(("sweep", SWEEP))
-    out.append(("unknown-metric", ["measure", "--input", f"inputs/{GENERATE[0][0]}.csv",
-                                   "--metrics", "nope"]))
+    first = f"inputs/{GENERATE[0][0]}.csv"
+    out += [("sweep", SWEEP), ("sweep-jobs-2", [*SWEEP, "--jobs", "2"]),
+            ("unknown-metric", ["measure", "--input", first, "--metrics", "nope"]),
+            ("reliability-bins-0", ["reliability", "--input", first, "--bins", "0"])]
+    out += [(f"{label}-bin-edges", [*argv, "--input", "inputs/bin-edges.csv"])
+            for label, argv in ON_EDGES]
     for name in [*DECIMAL_INPUTS, *(f"input{i}" for i in range(len(extra_inputs)))]:
         out += [(f"{label}-{name}", [*argv, "--input", f"inputs/{name}.csv"])
                 for label, argv in PER_INPUT]
@@ -108,6 +121,15 @@ def write_decimal_inputs(where: Path) -> None:
     text = "v,y\n" + "".join(f"{p},{label}\n" for p, label in rows)
     (where / "decimal.csv").write_bytes(text.encode("ascii"))
     (where / "decimal-crlf.csv").write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+
+
+def write_bin_edges(where: Path) -> None:
+    """Write ``bin-edges.csv``: each k/bins of ``EDGE_BINS`` and its two neighbouring
+    floats, within [0, 1], labels alternating."""
+    edges = np.concatenate([np.arange(bins + 1) / bins for bins in EDGE_BINS])
+    v = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)])
+    text = "v,y\n" + "".join(f"{p!r},{k % 2}\n" for k, p in enumerate(v.tolist()))
+    (where / "bin-edges.csv").write_bytes(text.encode("ascii"))
 
 
 def run_one(main, argv: list[str], where: Path) -> None:
@@ -135,6 +157,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True)
     (out / "inputs").mkdir()
     write_decimal_inputs(out / "inputs")
+    write_bin_edges(out / "inputs")
     for i, path in enumerate(args.input):
         shutil.copyfile(path, out / "inputs" / f"input{i}.csv")
     sys.path.insert(0, str(Path(args.src).resolve()))
