@@ -24,7 +24,7 @@ import calibdist
 from calibdist.binning import uniform_partition
 from calibdist.core import EmpiricalDistribution, SeededRng, round_to_grid, sorted_pairs
 from calibdist.errors import BadConfig, TooLarge
-from calibdist.interval import width_exponent
+from calibdist.interval import _draws_mean, _profile_mean, _shift_profile, width_exponent
 from calibdist.lowerdist import _check_eps, _discretize, ldce_dual_solution
 
 _FULL_PAIRWISE_CAP = 500
@@ -131,6 +131,26 @@ def sintce_hat_loop(dist: EmpiricalDistribution, epsilon: float, shifts_m: int,
     """``sintce_hat`` on the per-sample walk, with the same substream per width."""
     return min(rintce_hat_loop(dist, 2.0**-k, shifts_m, rng.substream(k)) + 2.0**-k
                for k in range(width_exponent(epsilon) + 1))
+
+
+def sintce_all_widths(dist: EmpiricalDistribution, epsilon: float, shifts_m: int | None = None,
+                      rng: SeededRng | None = None) -> float:
+    """``sintce_exact`` (shifts_m None) or ``sintce_hat`` with every dyadic width evaluated.
+
+    The loop before the stop rule: widest first, min over all k = 0..k*, each
+    width's draws from ``rng.substream(k)``.
+    """
+    u, _, _, R = dist.grouped()
+    best = math.inf
+    for k in range(width_exponent(epsilon) + 1):
+        width = 2.0**-k
+        breaks, values = _shift_profile(u, R, dist.n, width)
+        if shifts_m is None:
+            est = _profile_mean(breaks, values, width)
+        else:
+            est = _draws_mean(breaks, values, width, shifts_m, rng.substream(k))
+        best = min(best, est + width)
+    return best
 
 
 def intce_small_support(dist: EmpiricalDistribution) -> float:

@@ -24,8 +24,8 @@ from calibdist import (
 from calibdist.interval import _shift_profile, default_shifts, width_exponent
 
 from _oracles import (BLAS_PROBE_DIST, random_distribution, rintce_hat_loop, rintce_mc_direct,
-                      shift_profile_at_group_ends, shift_profile_loop, sintce_hat_loop,
-                      stdout_per_blas_threads)
+                      shift_profile_at_group_ends, shift_profile_loop, sintce_all_widths,
+                      sintce_hat_loop, stdout_per_blas_threads)
 
 # Predictions on a 1e-3 grid (ties, as in quantized files), on a 1e-6 grid,
 # or drawn from a few values that hit both ends of [0, 1].
@@ -265,6 +265,66 @@ def test_sintce_range():
         assert 0.0 < val <= 2.0
         exact = sintce_exact(d, 0.1)
         assert 0.0 < exact <= 2.0
+
+
+# Five pairs whose width-1 profile summed to -5.55e-18 where the walk reads 0
+_ROUNDS_BELOW_ZERO = [(0.7, 1), (0.4, 1), (0.6, 0), (0.2, 0), (0.1, 0)]
+
+# Tenths and sevenths, whose residual sums cancel only up to round-off;
+# hundredths and full precision; few tied values with many samples each.
+_decimal = st.one_of(st.integers(0, 10).map(lambda k: k / 10),
+                     st.integers(0, 7).map(lambda k: k / 7),
+                     st.integers(0, 100).map(lambda k: k / 100),
+                     st.floats(0.0, 1.0))
+_clamp_samples = st.one_of(
+    st.lists(st.tuples(_decimal, st.integers(0, 1)), min_size=1, max_size=40),
+    st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 7, 3 / 7, 0.7, 1.0]),
+                       st.integers(0, 1)), min_size=2, max_size=200),
+)
+
+
+@_fuzz
+@given(_clamp_samples)
+@example(_ROUNDS_BELOW_ZERO)
+def test_profile_values_are_never_negative(samples):
+    # The stop rule in sintce relies on every estimate being >= 0.
+    d = make_empirical(samples)
+    u, _, _, R = d.grouped()
+    for width in [2.0**-k for k in range(12)] + [0.3, 1 / 7]:
+        assert _shift_profile(u, R, d.n, width)[1].min() >= 0.0
+
+
+@_fuzz
+@given(st.one_of(_samples, _clamp_samples), st.sampled_from([0.5, 0.2, 0.05, 0.01, 0.002]),
+       st.integers(1, 3000), st.integers(0, 2**32))
+@example([(0.5, 0), (0.5, 1)], 0.01, 100, 0)  # only the narrowest width is evaluated
+@example(_ROUNDS_BELOW_ZERO, 0.5, 7, 1)
+@example([(0.5, 0), (0.6, 1)], 0.05, 1000, 2)  # 2^-2 wins (0.46) after 2^-6 gave 0.466
+def test_sintce_stop_rule_keeps_the_all_widths_min(samples, epsilon, shifts_m, seed):
+    d = make_empirical(samples)
+    assert sintce_exact(d, epsilon).hex() == sintce_all_widths(d, epsilon).hex()
+    cfg = IntervalEstimatorConfig(epsilon=epsilon, shifts_m=shifts_m, rng=SeededRng(seed))
+    want = sintce_all_widths(d, epsilon, shifts_m, SeededRng(seed))
+    assert sintce_hat(d, cfg).hex() == want.hex()
+
+
+def test_sintce_stops_at_the_first_width_that_cannot_win(monkeypatch):
+    from calibdist import interval
+
+    widths = []
+    profile = interval._shift_profile
+    monkeypatch.setattr(interval, "_shift_profile",
+                        lambda u, R, n, width: widths.append(width) or profile(u, R, n, width))
+    # exactly calibrated: est = 0 at 2^-8, and 2^-7 already cannot win
+    calibrated = make_empirical([(0.5, 0), (0.5, 1)])
+    assert sintce_exact(calibrated, 0.01) == 2.0**-8
+    cfg = IntervalEstimatorConfig(epsilon=0.01, shifts_m=100, rng=SeededRng(3))
+    assert sintce_hat(calibrated, cfg) == 2.0**-8
+    assert widths == [2.0**-8, 2.0**-8]
+    # est = 0.5 at every width: 1/4 gives 0.75, 1/2 gives 1.0, and 1 >= 0.75 stops
+    widths.clear()
+    assert sintce_exact(make_empirical([(0.5, 1)]), 0.5) == 0.75
+    assert widths == [0.25, 0.5]
 
 
 # Values within a few ulps of k * w at the non-dyadic widths w, where

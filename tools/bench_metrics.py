@@ -16,11 +16,17 @@ row times that view alone; in a tree without it,
 ``core.distinct_predictions``, its builder.  The ``ingest`` row times
 ``cli._read_samples`` on the rows written as a ``v,y`` CSV (``repr`` at full
 precision, ``%.3f`` at three decimals) into a temporary directory before
-timing.  The file also records ``import calibdist`` and ``import numpy``
-(each the minimum over five fresh interpreters, timed inside them), the
-machine (cpu count, Python, numpy and scipy versions, the BLAS thread
-variables and ``/proc/loadavg`` before and after) and the line count of
-``<tree>/src/calibdist/*.py``.  It is written into ``tools/``.
+timing.  The ``measure-all`` row times ``calib measure --metrics all`` on that
+file, through ``cli.main`` with the report written into the same directory:
+ingest, every metric and the report, as one command runs them.  The rows that
+build interval shift profiles (``sintce`` and ``measure-all``) record
+``sintce_widths``, the number of dyadic widths sintce evaluated per call,
+counted as calls of ``interval._shift_profile``.  The file also records
+``import calibdist`` and ``import numpy`` (each the minimum over five fresh
+interpreters, timed inside them), the machine (cpu count, Python, numpy and
+scipy versions, the BLAS thread variables and ``/proc/loadavg`` before and
+after) and the line count of ``<tree>/src/calibdist/*.py``.  It is written
+into ``tools/``.
 
 Two trees are compared by running them alternately in one session, e.g. a
 ``git archive`` copy of the parent commit and the working tree:
@@ -105,6 +111,15 @@ def _metrics(cd):
     return [("group", group), *((name, metric(name)) for name in cli.METRIC_NAMES)]
 
 
+def _count_widths(interval) -> list:
+    """Wrap ``interval._shift_profile`` so that each call, one per width sintce evaluates,
+    appends its width to the returned list."""
+    widths = []
+    profile = interval._shift_profile
+    interval._shift_profile = lambda *args: widths.append(args[3]) or profile(*args)
+    return widths
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="the tree's src directory")
@@ -113,7 +128,8 @@ def main(argv=None) -> int:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import calibdist as cd
-    from calibdist.cli import _read_samples
+    from calibdist import interval
+    from calibdist.cli import _read_samples, main as calib
 
     out = {"label": args.label, "machine": _machine(), "loadavg_before": _loadavg(),
            "src_lines": sum(len(p.read_text().splitlines())
@@ -123,6 +139,7 @@ def main(argv=None) -> int:
         runs = _import_seconds(module, src)
         out["import_s"][module] = {"min_s": min(runs), "runs_s": runs}
     print(json.dumps(out["import_s"]), flush=True)
+    widths = _count_widths(interval)
     with tempfile.TemporaryDirectory() as tmp:
         for n in SIZES:
             for decimals in DECIMALS:
@@ -131,8 +148,12 @@ def main(argv=None) -> int:
                 csv = Path(tmp) / "rows.csv"
                 _write_csv(csv, v, y, decimals)
                 ingest = ("ingest", lambda _: _read_samples(str(csv)))
-                for name, call in [ingest, *_metrics(cd)]:
+                report = str(Path(tmp) / "report.json")
+                measure_all = ("measure-all", lambda _: calib(
+                    ["measure", "--input", str(csv), "--metrics", "all", "--output", report]))
+                for name, call in [ingest, *_metrics(cd), measure_all]:
                     runs = []
+                    widths.clear()
                     for _ in range(REPEATS):
                         dist = cd.EmpiricalDistribution(v, y)
                         start = time.perf_counter()
@@ -140,6 +161,8 @@ def main(argv=None) -> int:
                         runs.append(time.perf_counter() - start)
                     row = {"metric": name, "n": n, "decimals": decimals, "distinct": distinct,
                            "min_s": min(runs), "runs_s": runs}
+                    if widths:
+                        row["sintce_widths"] = len(widths) / REPEATS
                     out["times"].append(row)
                     print(json.dumps(row), flush=True)
     out["loadavg_after"] = _loadavg()
