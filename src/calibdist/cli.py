@@ -35,7 +35,7 @@ from .fixtures import (
     induce_gamma,
 )
 from .interval import IntervalEstimatorConfig, sintce_hat
-from .kernel import KernelEstimatorConfig, KernelKind, default_reps, kce_estimate_squared
+from .kernel import KernelEstimatorConfig, KernelKind, kce_estimate_squared
 from .lowerdist import ldce
 from .smooth import smce
 
@@ -236,12 +236,19 @@ def _round_floats(obj, digits: int = 12):
     return obj
 
 
+def _to_stdout(path: str | None) -> bool:
+    return path is None or path == "-"
+
+
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+    if _to_stdout(path):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise CalibrationError(f"cannot write {path}: {e}") from e
 
 
 def _compute_metric(name: str, dist: EmpiricalDistribution, args, seed_root: SeededRng):
@@ -288,7 +295,7 @@ def _compute_metric(name: str, dist: EmpiricalDistribution, args, seed_root: See
             if squared < 0:
                 entry["caveats"].append("negative squared estimate clamped to 0 before sqrt")
         if args.kce_mode in ("fourier", "binning"):
-            entry["config"]["reps_r"] = cfg.reps_r if cfg.reps_r is not None else default_reps()
+            entry["config"]["reps_r"] = cfg.resolved_reps()
     return entry
 
 
@@ -347,8 +354,6 @@ def _family_population(args):
         prob = discontinuity_pair(args.eps)[args.which - 1]
     elif args.family == "f-eps":
         prob = f_eps(args.eps)
-    else:
-        raise CalibrationError(f"unknown family {args.family!r}")
     desc = f"{args.family} population (mass, f*, f): " + ", ".join(
         f"({m:g}, {fs:g}, {fv:g})" for m, fs, fv in prob.points
     )
@@ -360,7 +365,8 @@ def cmd_generate(args) -> int:
     dist = sampler()
     lines = ["v,y"] + [f"{v!r},{y}" for v, y in dist.pairs()]
     _write_text(args.output, "\n".join(lines) + "\n")
-    print(desc)
+    # on stdout the description would follow the rows and break the CSV
+    print(desc, file=sys.stderr if _to_stdout(args.output) else sys.stdout)
     return 0
 
 

@@ -20,6 +20,9 @@ Randomized estimators of the squared error for the Laplace kernel:
   sampled as tan(pi (U - 1/2)) and realized with cosine and sine accumulators;
 * binning: sum of squared per-bin residual sums / n^2, with bin width
   delta ~ Gamma(2, 1) sampled as -ln U1 - ln U2 and shift tau ~ Unif[0, delta).
+  The draws take the values sorted, as ``dist.grouped()`` gives them: the bin
+  floor((v + tau) / delta) is then nondecreasing in v, so each repetition's
+  bins are runs of v, summed in the order of v.
 
 Each fourier/binning draw is an unbiased estimate of the squared error and
 lies in [0, 1].  The published binning pseudocode omits the 1/n^2 factor that
@@ -85,10 +88,8 @@ class KernelEstimatorConfig:
         if self.mode in ("fourier", "binning") and self.reps_r is not None and self.reps_r < 1:
             raise BadConfig(f"reps_r must be >= 1, got {self.reps_r}")
 
-
-def default_reps(target_eps: float = 0.1) -> int:
-    """Repetition count giving ~target_eps accuracy on the squared value."""
-    return math.ceil(10.0 / target_eps**2)
+    def resolved_reps(self) -> int:
+        return self.reps_r if self.reps_r is not None else 1000
 
 
 def _kce2_laplace(v: np.ndarray, r: np.ndarray, n: int) -> float:
@@ -112,16 +113,13 @@ def _kce2_gaussian(v: np.ndarray, r: np.ndarray, n: int) -> float:
     return total / n**2
 
 
-def kce_exact(dist: EmpiricalDistribution, kind: KernelKind,
-              max_n: int | None = None) -> float:
+def kce_exact(dist: EmpiricalDistribution, kind: KernelKind) -> float:
     """Exact kernel calibration error sqrt(mean_{i,j} r_i r_j K(v_i, v_j)).
 
-    O(d) for both kernels on the grouped samples; ``max_n`` is an optional size
-    limit (None: no limit).  The quadratic form is positive semidefinite; tiny
-    negative round-off (>= -1e-12) is clamped to zero before the square root.
+    O(d) for both kernels on the grouped samples.  The quadratic form is
+    positive semidefinite; tiny negative round-off (>= -1e-12) is clamped to
+    zero before the square root.
     """
-    if max_n is not None and dist.n > max_n:
-        raise TooLarge(f"kce_exact capped at n = {max_n}, got {dist.n}")
     kind = KernelKind(kind)
     u, _, _, R = dist.grouped()
     sq = (_kce2_laplace if kind is KernelKind.LAPLACE else _kce2_gaussian)(u, R, dist.n)
@@ -130,27 +128,27 @@ def kce_exact(dist: EmpiricalDistribution, kind: KernelKind,
 
 def _fourier_draws(v, r, n: int, reps, rng: SeededRng) -> np.ndarray:
     out = np.empty(reps)
+    omega = np.tan(np.pi * (rng.random(reps) - 0.5))
     rows = max(1, _CHUNK_CELLS // len(v))
-    for start in range(0, reps, _REP_BATCH):
-        stop = min(start + _REP_BATCH, reps)
-        omega = np.tan(np.pi * (rng.random(stop - start) - 0.5))
-        # Rows of at most _CHUNK_CELLS cells.  numpy sums each row pairwise on
-        # its own, so neither the chunk size nor BLAS threads move the bits.
-        for lo in range(0, stop - start, rows):
-            hi = min(lo + rows, stop - start)
-            phase = omega[lo:hi, None] * v[None, :]
-            terms = np.cos(phase)
-            terms *= r
-            cos_acc = np.sum(terms, axis=1)
-            np.sin(phase, out=terms)
-            terms *= r
-            sin_acc = np.sum(terms, axis=1)
-            out[start + lo:start + hi] = (cos_acc**2 + sin_acc**2) / n**2
+    # Rows of at most _CHUNK_CELLS cells.  numpy sums each row pairwise on its
+    # own, so neither the chunk size nor BLAS threads move the bits.
+    for lo in range(0, reps, rows):
+        hi = min(lo + rows, reps)
+        phase = omega[lo:hi, None] * v[None, :]
+        terms = np.cos(phase)
+        terms *= r
+        cos_acc = np.sum(terms, axis=1)
+        np.sin(phase, out=terms)
+        terms *= r
+        sin_acc = np.sum(terms, axis=1)
+        out[lo:hi] = (cos_acc**2 + sin_acc**2) / n**2
     return out
 
 
 def _binning_draws(v, r, n: int, reps, rng: SeededRng) -> np.ndarray:
     out = np.empty(reps)
+    d = len(v)
+    rows = max(1, _CHUNK_CELLS // d)
     for start in range(0, reps, _REP_BATCH):
         stop = min(start + _REP_BATCH, reps)
         b = stop - start
@@ -160,19 +158,18 @@ def _binning_draws(v, r, n: int, reps, rng: SeededRng) -> np.ndarray:
         u2 = 1.0 - rng.random(b)
         delta = np.maximum(-np.log(u1) - np.log(u2), 1e-12)
         tau = delta * rng.random(b)
-        # Rows of at most _CHUNK_CELLS cells: repetitions are independent and
-        # each one's bin sums accumulate in the order of v in any chunk, so
-        # the chunk size leaves the bits alone.
-        rows = max(1, _CHUNK_CELLS // len(v))
+        # Rows of at most _CHUNK_CELLS cells.  v is sorted, so a row's bins are
+        # runs, each headed by the row's first cell or a change of bin.
+        # bincount sums each run in the order of v, then the squares in the
+        # order of the runs, so the chunk size leaves the bits alone.
         for lo in range(0, b, rows):
             hi = min(lo + rows, b)
-            t = np.floor((v[None, :] + tau[lo:hi, None]) / delta[lo:hi, None]).astype(np.int64)
-            t -= t.min(axis=1, keepdims=True)
-            span = int(t.max()) + 1
-            keys = (np.arange(hi - lo, dtype=np.int64)[:, None] * span + t).ravel()
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inverse, weights=np.tile(r, hi - lo), minlength=len(uniq))
-            per_rep = np.bincount(uniq // span, weights=sums * sums, minlength=hi - lo)
+            t = np.floor((v[None, :] + tau[lo:hi, None]) / delta[lo:hi, None])
+            heads = np.ones(t.shape, dtype=bool)
+            np.not_equal(t[:, 1:], t[:, :-1], out=heads[:, 1:])
+            sums = np.bincount(np.cumsum(heads) - 1, weights=np.tile(r, hi - lo))
+            per_rep = np.bincount(np.flatnonzero(heads) // d, weights=sums * sums,
+                                  minlength=hi - lo)
             out[start + lo:start + hi] = per_rep / n**2
     return out
 
@@ -202,7 +199,7 @@ def kce_estimate_squared(dist: EmpiricalDistribution, kind: KernelKind,
         i = rng.integers(0, n, m)
         j = rng.integers(0, n, m)
         return float(np.mean(r[i] * r[j] * kind.evaluate(v[i], v[j])))
-    reps = cfg.reps_r if cfg.reps_r is not None else default_reps()
+    reps = cfg.resolved_reps()
     if 8 * reps > MAX_DRAW_BYTES:
         raise TooLarge(f"{reps} repetitions need {8 * reps} bytes of float64, "
                        f"above the {MAX_DRAW_BYTES} byte cap")

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import calibdist
+from calibdist import kernel
 from calibdist.binning import uniform_partition
 from calibdist.core import EmpiricalDistribution, SeededRng, round_to_grid, sorted_pairs
 from calibdist.errors import BadConfig, TooLarge
@@ -252,6 +253,53 @@ def kernel_identity_check(d: float, reps: int, rng: SeededRng) -> tuple[float, f
         tau = delta * rng.random(b)
         bin_total += int(np.count_nonzero(d + tau < delta))
     return cos_total / reps, bin_total / reps
+
+
+def fourier_draws_batched(v, r, n: int, reps, rng: SeededRng) -> np.ndarray:
+    """The random-Fourier draws with frequencies drawn per batch of
+    ``kernel._REP_BATCH``; ``_fourier_draws`` must return these bits."""
+    out = np.empty(reps)
+    rows = max(1, kernel._CHUNK_CELLS // len(v))
+    for start in range(0, reps, kernel._REP_BATCH):
+        stop = min(start + kernel._REP_BATCH, reps)
+        omega = np.tan(np.pi * (rng.random(stop - start) - 0.5))
+        for lo in range(0, stop - start, rows):
+            hi = min(lo + rows, stop - start)
+            phase = omega[lo:hi, None] * v[None, :]
+            terms = np.cos(phase)
+            terms *= r
+            cos_acc = np.sum(terms, axis=1)
+            np.sin(phase, out=terms)
+            terms *= r
+            sin_acc = np.sum(terms, axis=1)
+            out[start + lo:start + hi] = (cos_acc**2 + sin_acc**2) / n**2
+    return out
+
+
+def binning_draws_packed(v, r, n: int, reps, rng: SeededRng) -> np.ndarray:
+    """The random-binning draws with bins found by ``np.unique`` over packed
+    (repetition, bin) keys, for any order of v; ``_binning_draws`` must return
+    these bits on sorted v."""
+    out = np.empty(reps)
+    for start in range(0, reps, kernel._REP_BATCH):
+        stop = min(start + kernel._REP_BATCH, reps)
+        b = stop - start
+        u1 = 1.0 - rng.random(b)
+        u2 = 1.0 - rng.random(b)
+        delta = np.maximum(-np.log(u1) - np.log(u2), 1e-12)
+        tau = delta * rng.random(b)
+        rows = max(1, kernel._CHUNK_CELLS // len(v))
+        for lo in range(0, b, rows):
+            hi = min(lo + rows, b)
+            t = np.floor((v[None, :] + tau[lo:hi, None]) / delta[lo:hi, None]).astype(np.int64)
+            t -= t.min(axis=1, keepdims=True)
+            span = int(t.max()) + 1
+            keys = (np.arange(hi - lo, dtype=np.int64)[:, None] * span + t).ravel()
+            uniq, inverse = np.unique(keys, return_inverse=True)
+            sums = np.bincount(inverse, weights=np.tile(r, hi - lo), minlength=len(uniq))
+            per_rep = np.bincount(uniq // span, weights=sums * sums, minlength=hi - lo)
+            out[start + lo:start + hi] = per_rep / n**2
+    return out
 
 
 def random_distribution(rng: np.random.Generator, max_n: int = 200) -> EmpiricalDistribution:

@@ -180,8 +180,8 @@ def test_criterion_6_kernel_identities():
 
 def test_criterion_7_gaussian_kernel_failure():
     d = gen_gauss_gap(GaussGapConfig(eps=0.05, n=10**5, rng=SeededRng(7)))
-    kg = kce_exact(d, KernelKind.GAUSSIAN, max_n=200_000)
-    kl = kce_exact(d, KernelKind.LAPLACE, max_n=200_000)
+    kg = kce_exact(d, KernelKind.GAUSSIAN)
+    kl = kce_exact(d, KernelKind.LAPLACE)
     # rounding to a 1e-4 grid moves smce by at most 1e-4 and keeps the LP small
     sm, _ = smce(round_to_grid(d, 1e-4))
     failures = []

@@ -288,6 +288,36 @@ def test_generate_dbeta(tmp_path, capsys):
     assert "dbeta" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("to", [[], ["--output", "-"]], ids=["default", "dash"])
+def test_generate_to_stdout_is_a_csv(tmp_path, capsys, to):
+    # the description goes to stderr, so stdout reads back as the n rows
+    assert main(["generate", "--family", "dbeta", "--n", "3", "--seed", "2", *to]) == 0
+    out, err = capsys.readouterr()
+    path = tmp_path / "d.csv"
+    path.write_text(out)
+    dist, _ = _read_samples(str(path))
+    assert dist.n == 3
+    assert err.startswith("dbeta family: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--metrics", "ece"],
+    ["generate", "--family", "dbeta", "--n", "5"],
+    ["sweep", "--beta-grid", "1", "--n", "10", "--trials", "1", "--metrics", "ece"],
+    ["reliability"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_an_error(tmp_path, capsys, argv):
+    src = tmp_path / "in.csv"
+    src.write_text("v,y\n0.2,0\n0.7,1\n")
+    if argv[0] in ("measure", "reliability"):
+        argv = [*argv, "--input", str(src)]
+    target = tmp_path / "missing" / "out"
+    assert main([*argv, "--output", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"calib: error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_generate_pa_gap_support(tmp_path):
     out = tmp_path / "d.csv"
     rc = main(["generate", "--family", "pa-gap", "--alpha", "0.25", "--which", "1",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from calibdist import (
     BadConfig,
@@ -17,10 +18,11 @@ from calibdist import (
     make_empirical,
 )
 from calibdist import kernel
+from calibdist.core import sorted_pairs
 from calibdist.kernel import _binning_draws, _fourier_draws
 
-from _oracles import (kce2_direct, kernel_identity_check, random_distribution,
-                      stdout_per_blas_threads)
+from _oracles import (binning_draws_packed, fourier_draws_batched, kce2_direct,
+                      kernel_identity_check, random_distribution, stdout_per_blas_threads)
 
 
 def test_kce_exact_examples():
@@ -40,12 +42,6 @@ def test_kce_exact_matches_direct_quadratic_form():
         for kind in (KernelKind.LAPLACE, KernelKind.GAUSSIAN):
             fast = kce_exact(d, kind) ** 2
             assert fast == pytest.approx(kce2_direct(d, kind.value), abs=1e-12)
-
-
-def test_kce_exact_cap():
-    d = make_empirical([(0.5, 1)] * 10)
-    with pytest.raises(TooLarge):
-        kce_exact(d, KernelKind.LAPLACE, max_n=5)
 
 
 def test_estimator_size_guard_raises_before_allocating(monkeypatch):
@@ -258,3 +254,39 @@ def test_laplace_kce_bits_independent_of_blas_threads(value):
     )
     bits = stdout_per_blas_threads(probe)
     assert bits[0] == bits[1]
+
+
+# Predictions rounded to one to three decimals (ties; 0 and 1 among them), at
+# full precision, or a single value repeated.
+_draw_values = st.one_of(
+    st.tuples(st.integers(1, 3), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    .map(lambda t: [round(x, t[0]) for x in t[1]]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.integers(1, 5)).map(lambda t: [t[0]] * t[1]),
+)
+_draw_samples = _draw_values.flatmap(
+    lambda vs: st.lists(st.integers(0, 1), min_size=len(vs), max_size=len(vs))
+    .map(lambda ys: list(zip(vs, ys))))
+_B = kernel._REP_BATCH
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_draw_samples, st.booleans(), st.sampled_from([1, 7, 1000, _B, _B + 1, 2 * _B + 300]),
+       st.booleans(), st.integers(0, 2**32))
+@example([(0.0, 1), (1.0, 0), (1.0, 1), (0.0, 0)], False, 2 * _B + 300, True, 5)
+@example([(0.25, 1)] * 3, True, _B + 1, False, 6)  # one distinct value
+def test_draws_return_the_oracle_bits(samples, per_sample, reps, one_row, seed):
+    # the grouped view, or every sample in sorted_pairs order with its residual
+    d = make_empirical(samples)
+    if per_sample:
+        v, r = sorted_pairs(d)
+        r -= v
+    else:
+        v, _, _, r = d.grouped()
+    with pytest.MonkeyPatch.context() as mp:
+        if one_row:
+            mp.setattr(kernel, "_CHUNK_CELLS", len(v))
+        for draws, oracle in ((_fourier_draws, fourier_draws_batched),
+                              (_binning_draws, binning_draws_packed)):
+            got = draws(v, r, d.n, reps, SeededRng(seed))
+            assert got.tobytes() == oracle(v, r, d.n, reps, SeededRng(seed)).tobytes()

@@ -23,7 +23,9 @@ with the exact and the subsample kernel, the Laplace-only metric set with the
 fourier and the binning kernel, ``--bins 1000``, ``--metrics sintce`` at ``--eps
 0.005`` (widths down to 2^-9) and at ``--eps 1e-4`` (down to 2^-15, with
 4,563,025,980 shifts per width), ``reliability`` at 20, 1000 and 100000 bins
-(the last mostly empty bins and bins of every small count); one ``sweep``, in
+(the last mostly empty bins and bins of every small count); on the first two,
+``measure --metrics kce-laplace --kce-reps 5000`` with the fourier and the
+binning kernel, past the 4,096-repetition batch of their draws; one ``sweep``, in
 process and at ``--jobs 2`` (where the parsed options are pickled to the
 workers), one unknown metric and ``reliability --bins 0``.  ``reliability`` at
 20 and 49 bins and ``measure --metrics binned-ece,binned-ece-w --bins 49`` run
@@ -73,6 +75,13 @@ PER_FILE = (
     ("reliability-1000", ["reliability", "--bins", "1000"]),
     ("reliability-100000", ["reliability", "--bins", "100000"]),
 )
+# past the 4,096-repetition batch of the kernel draws, which the default 1000
+# repetitions never leave
+LONG_DRAW_FILES = ("dbeta-0.5", "pa-gap")
+LONG_DRAWS = tuple(
+    (f"{mode}-5000", ["measure", "--metrics", "kce-laplace", "--kce-mode", mode,
+                      "--kce-reps", "5000"])
+    for mode in ("fourier", "binning"))
 PER_INPUT = (
     ("all-exact", ["measure", "--metrics", "all"]),
     ("reliability", ["reliability"]),
@@ -98,6 +107,9 @@ def commands(extra_inputs: list[str]) -> list[tuple[str, list[str]]]:
     for name, _ in GENERATE:
         out += [(f"{label}-{name}", [*argv, "--input", f"inputs/{name}.csv"])
                 for label, argv in PER_FILE]
+    for name in LONG_DRAW_FILES:
+        out += [(f"{label}-{name}", [*argv, "--input", f"inputs/{name}.csv"])
+                for label, argv in LONG_DRAWS]
     first = f"inputs/{GENERATE[0][0]}.csv"
     out += [("sweep", SWEEP), ("sweep-jobs-2", [*SWEEP, "--jobs", "2"]),
             ("unknown-metric", ["measure", "--input", first, "--metrics", "nope"]),
