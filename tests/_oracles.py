@@ -21,12 +21,12 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import calibdist
-from calibdist import kernel
+from calibdist import kernel, lowerdist
 from calibdist.binning import uniform_partition
 from calibdist.core import EmpiricalDistribution, SeededRng, round_to_grid, sorted_pairs
 from calibdist.errors import BadConfig, TooLarge
 from calibdist.interval import _draws_mean, _profile_mean, _shift_profile, width_exponent
-from calibdist.lowerdist import _check_eps, _discretize, ldce_dual_solution
+from calibdist.lowerdist import DualSolution, _check_eps, _discretize, ldce_dual_solution
 
 _FULL_PAIRWISE_CAP = 500
 
@@ -643,6 +643,26 @@ def dual_constraints_stacked(u: np.ndarray):
         sp.hstack([sp.diags(1.0 - u), sp.diags(u)]),
     ], format="csr")
     return A_ub, np.concatenate([np.tile(np.diff(u), 4), np.zeros(m)])
+
+
+def ldce_dual_full_grid(dist: EmpiricalDistribution, eps1: float = 0.005,
+                        eps2: float = 0.005) -> DualSolution:
+    """``ldce``'s reduced dual over r0 and r1 at every grid point, massless or not.
+
+    The rows are ``dual_constraints_stacked``'s, with its explicit zeros removed,
+    solved by ``lowerdist._run_lp``.  ``ldce_dual_solution`` solves the same LP
+    collapsed onto the support points, so the two values agree, and they share
+    their bits when every grid point carries mass.
+    """
+    _check_eps(eps1, eps2)
+    u, sv, sy, gamma = _discretize(dist, eps1, eps2)
+    m = len(u)
+    c = np.zeros(2 * m)  # variables: r0 (m) | r1 (m)
+    np.add.at(c, np.searchsorted(u, sv) + m * sy, gamma)
+    A_ub, b_ub = dual_constraints_stacked(u)
+    A_ub.eliminate_zeros()
+    objective, x = lowerdist._run_lp(-c, A_ub, b_ub)
+    return DualSolution(u=u, r0=x[:m], r1=x[m:], objective=-objective if objective < 0.0 else 0.0)
 
 
 def ldce_both_forms(dist: EmpiricalDistribution, eps1: float = 0.005,

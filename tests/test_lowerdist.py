@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from calibdist import (
     BadEps,
+    EmpiricalDistribution,
     Grid,
     gap_pa_pair,
     induce_gamma_exact,
@@ -20,8 +22,8 @@ from calibdist import lowerdist
 from calibdist.cli import main
 from calibdist.lowerdist import refine_grid
 
-from _oracles import (dual_constraints_stacked, ldce_both_forms, ldce_primal_solution,
-                      random_distribution, refine_grid_loop)
+from _oracles import (dual_constraints_stacked, ldce_both_forms, ldce_dual_full_grid,
+                      ldce_primal_solution, random_distribution, refine_grid_loop)
 
 SLACK = 3 * (0.005 + 0.005) + 1e-6
 
@@ -48,6 +50,35 @@ def test_bad_eps():
         ldce(d, eps1=0.0)
     with pytest.raises(BadEps):
         ldce(d, eps2=0.7)
+
+
+def test_subnormal_eps_is_refused():
+    # v / eps1 overflowed at eps1 = 1e-310 and rounded every prediction to 1 (value 0.5)
+    d = make_empirical([(0.3, 1), (0.3, 0), (0.8, 1), (0.1, 0)])
+    tiny = np.finfo(float).tiny
+    for eps1, eps2 in ((1e-310, 0.005), (0.005, 1e-310), (5e-324, 5e-324), (tiny / 2, 0.005)):
+        with pytest.raises(BadEps, match="at least"):
+            ldce(d, eps1, eps2)
+    for eps1 in (tiny, 1e-300, 1e-12):
+        assert ldce(d, eps1, 0.005) == pytest.approx(0.125, abs=1e-12)
+
+
+def test_grid_size_guard_refuses_before_allocating():
+    d = make_empirical([(0.3, 1), (0.8, 0)])
+    tracemalloc.start()
+    try:
+        for eps2 in (1e-7, 1e-12, 1e-300):  # 10^7 .. 10^300 points
+            with pytest.raises(BadEps, match="grid points"):
+                ldce(d, 0.005, eps2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    cap = lowerdist.MAX_GRID_POINTS
+    assert len(refine_grid(np.array([]), 1.0 / (cap - 1)).points) == cap
+    with pytest.raises(BadEps, match=f"needs {cap + 1} grid points"):
+        refine_grid(np.array([]), 1.0 / cap)
+    assert len(ldce_dual_solution(d, 0.005, 0.0025).u) == 401  # the smallest eps2 in the tests
 
 
 def test_strong_duality_random_instances():
@@ -120,18 +151,34 @@ def test_primal_solution_is_a_valid_coupling():
         assert float((cost * sol.mass).sum()) == pytest.approx(sol.objective, abs=1e-9)
 
 
+def _assert_feasible(sol):
+    for r in (sol.r0, sol.r1):
+        assert np.all(np.abs(np.diff(r)) <= np.diff(sol.u) + 1e-9)
+    # E_{y ~ Bernoulli(u)} r(u, y) <= 0
+    assert np.all((1 - sol.u) * sol.r0 + sol.u * sol.r1 <= 1e-9)
+
+
 def test_dual_solution_is_feasible():
     rng = np.random.default_rng(45)
     for _ in range(10):
         d = random_distribution(rng, max_n=25)
-        sol = ldce_dual_solution(d)
-        for r in (sol.r0, sol.r1):
-            assert np.all(np.abs(np.diff(r)) <= np.diff(sol.u) + 1e-9)
-        # E_{y ~ Bernoulli(u)} r(u, y) <= 0
-        assert np.all((1 - sol.u) * sol.r0 + sol.u * sol.r1 <= 1e-9)
+        _assert_feasible(ldce_dual_solution(d))
 
 
-def test_dual_lp_has_two_chains_and_no_boxes(monkeypatch):
+def _lattice(eps: float) -> EmpiricalDistribution:
+    """One sample at every multiple of eps in [0, 1]: every grid point carries mass."""
+    k = np.arange(round(1 / eps) + 1)
+    return make_empirical([(float(v), int(i) % 2) for i, v in enumerate(k * eps)])
+
+
+@pytest.mark.parametrize("pairs, eps, support, inside, tails", [
+    pytest.param([(0.3, 1), (0.3, 0), (0.8, 1)], 0.005, 2, 99, 2, id="two-points"),
+    pytest.param([(0.0, 0), (1.0, 1)], 0.005, 2, 199, 0, id="endpoints"),
+    pytest.param([(0.5, 1)], 0.005, 1, 0, 2, id="one-point"),
+    pytest.param([(0.2, 0), (0.25, 1), (1.0, 1)], 0.05, 3, 14, 1, id="left-tail"),
+    pytest.param(None, 0.1, 11, 0, 0, id="lattice"),  # the full grid's 5m - 4 rows
+])
+def test_dual_lp_is_over_the_support_points(monkeypatch, pairs, eps, support, inside, tails):
     seen = []
 
     def spy(c, A_ub, b_ub):
@@ -140,29 +187,33 @@ def test_dual_lp_has_two_chains_and_no_boxes(monkeypatch):
 
     run_lp = lowerdist._run_lp
     monkeypatch.setattr(lowerdist, "_run_lp", spy)
-    sol = ldce_dual_solution(make_empirical([(0.3, 1), (0.3, 0), (0.8, 1)]))
-    m = len(sol.u)
-    assert seen == [(2 * m, (5 * m - 4, 2 * m), 5 * m - 4)]
+    d = _lattice(eps) if pairs is None else make_empirical(pairs)
+    sol = ldce_dual_solution(d, eps, eps)
+    assert len(sol.u) == len(sol.r0) == len(sol.r1) == round(1 / eps) + 1
+    rows = 5 * support - 4 + inside + tails
+    assert seen == [(2 * support, (rows, 2 * support), rows)]
 
 
-def test_dual_constraints_match_stacked_blocks(monkeypatch):
+def test_dual_constraints_match_stacked_blocks():
     rng = np.random.default_rng(46)
     dists = [random_distribution(rng, max_n=60) for _ in range(8)]
     dists += [make_empirical([(0.0, 0), (1.0, 1)]), make_empirical([(0.5, 1)])]
     for d in dists:
         for eps in (0.005, 0.1, 0.3, 0.5):
             u = lowerdist._discretize(d, eps, eps)[0]
-            got, b = lowerdist._dual_constraints(u)
+            # with every grid point a support point nothing collapses
+            got, b = lowerdist._dual_constraints(u, np.arange(len(u)))
             want, b_want = dual_constraints_stacked(u)
             want.eliminate_zeros()  # the dense Kronecker blocks of m <= 4
             assert got.shape == want.shape and got.has_sorted_indices
             for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
                          (got.data, want.data), (b, b_want)):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    fast = [ldce_dual_solution(d, eps, eps) for d in dists for eps in (0.005, 0.5)]
-    monkeypatch.setattr(lowerdist, "_dual_constraints", dual_constraints_stacked)
-    stacked = [ldce_dual_solution(d, eps, eps) for d in dists for eps in (0.005, 0.5)]
-    for a, b in zip(fast, stacked):
+    full = [(_lattice(eps), eps) for eps in (0.005, 0.1, 0.25, 0.5)]
+    full += [(_lattice(0.005), 0.1), (make_empirical([(0.0, 1), (0.5, 0), (1.0, 0)]), 0.5)]
+    for d, eps in full:
+        a, b = ldce_dual_solution(d, eps, eps), ldce_dual_full_grid(d, eps, eps)
+        assert len(np.unique(lowerdist._discretize(d, eps, eps)[1])) == len(a.u)
         assert a.objective.hex() == b.objective.hex()
         assert a.r0.tobytes() == b.r0.tobytes() and a.r1.tobytes() == b.r1.tobytes()
 
@@ -188,6 +239,37 @@ _PREDICTION = st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
 def test_dual_matches_coupling_lp(pairs):
     d = make_empirical(pairs)
     assert ldce(d) == pytest.approx(ldce_primal_solution(d).objective, abs=1e-9)
+
+
+_EPS_PAIRS = st.sampled_from([(0.005, 0.005), (0.05, 0.05), (0.1, 0.1), (0.25, 0.25), (0.5, 0.5),
+                              (0.02, 0.1), (0.1, 0.03), (0.2, 0.0625)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_PREDICTION, st.integers(0, 1)), min_size=1, max_size=60),
+       _EPS_PAIRS, st.booleans(), st.integers(0, 1))
+@example([(0.5, 1)], (0.005, 0.005), False, 0)  # one support point, both tails
+@example([(0.0, 1), (1.0, 0)], (0.005, 0.005), False, 0)  # no tails, 199 gap rows
+@example([(0.3, 0)], (0.1, 0.1), True, 1)  # every grid point carries mass
+def test_collapsed_dual_matches_full_grid(pairs, eps, cover, label):
+    """The LP over the support points against the LP over every grid point.
+
+    ``cover`` adds a sample at every multiple of eps1, so that with eps1 <= eps2
+    every grid point carries mass and nothing collapses.
+    """
+    eps1, eps2 = eps
+    if cover:
+        pairs = pairs + [(min(k * eps1, 1.0), label) for k in range(round(1 / eps1) + 1)]
+    d = make_empirical(pairs)
+    got, want = ldce_dual_solution(d, eps1, eps2), ldce_dual_full_grid(d, eps1, eps2)
+    assert got.u.tobytes() == want.u.tobytes()
+    assert abs(got.objective - want.objective) <= 1e-12
+    _assert_feasible(got)
+    support = len(np.unique(lowerdist._discretize(d, eps1, eps2)[1]))
+    assert support == len(got.u) or not (cover and eps1 <= eps2)
+    if support == len(got.u):
+        assert got.objective.hex() == want.objective.hex()
+        assert got.r0.tobytes() == want.r0.tobytes() and got.r1.tobytes() == want.r1.tobytes()
 
 
 def test_grid_validation():

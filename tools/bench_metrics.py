@@ -21,7 +21,16 @@ file, through ``cli.main`` with the report written into the same directory:
 ingest, every metric and the report, as one command runs them.  The rows that
 build interval shift profiles (``sintce`` and ``measure-all``) record
 ``sintce_widths``, the number of dyadic widths sintce evaluated per call,
-counted as calls of ``interval._shift_profile``.  The file also records
+counted as calls of ``interval._shift_profile``.  The ``ldce`` row records
+``ldce_support`` and ``ldce_grid``: the K rounded predictions that carry mass
+and the m points of the grid they are refined into, from
+``lowerdist._discretize`` at the CLI's eps.  The ``ldce-small`` row, timed
+once, calls ``ldce`` at those eps on 36 instances drawn as acceptance
+criterion 1 draws them (perfbench's chain-small random half for seeds 1-3:
+n = 16, 32, ..., 192, uniform, one-decimal, clipped-normal and five-point
+predictions, three label modes); its time is the minimum of three passes
+over all of them (the first also imports scipy), and it lists each
+instance's ``ldce_support`` and ``ldce_grid``.  The file also records
 ``import calibdist`` and ``import numpy`` (each the minimum over five fresh
 interpreters, timed inside them), the machine (cpu count, Python, numpy and
 scipy versions, the BLAS thread variables and ``/proc/loadavg`` before and
@@ -111,6 +120,59 @@ def _metrics(cd):
     return [("group", group), *((name, metric(name)) for name in cli.METRIC_NAMES)]
 
 
+def _small_instances(cd) -> list:
+    """Criterion 1's four support styles and three label modes at n = 16 .. 192, seeds 1-3,
+    the draws of perfbench's ``inputs.random_chain_instance``."""
+    out = []
+    for seed in (1, 2, 3):
+        for i in range(12):
+            rng = np.random.default_rng([seed, 1000 + i])
+            n = 16 * (i + 1)
+            style, mode = i % 4, i % 3
+            if style == 0:
+                v = rng.random(n)
+            elif style == 1:
+                v = np.round(rng.random(n), 1)
+            elif style == 2:
+                v = np.clip(rng.normal(0.5, 0.15, n), 0.0, 1.0)
+            else:
+                v = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=n)
+            draw = rng.random(n)
+            if mode == 0:
+                y = draw < v
+            elif mode == 1:
+                y = draw < np.clip(v + rng.normal(0, 0.2), 0, 1)
+            else:
+                y = draw < rng.random()
+            out.append(cd.EmpiricalDistribution(v, y.astype(np.int8)))
+    return out
+
+
+def _ldce_sizes(cd, dist) -> dict:
+    """K support points and m grid points of ``ldce`` at the CLI's eps."""
+    from calibdist.cli import LDCE_EPS1, LDCE_EPS2
+
+    u, support_v, _, _ = cd.lowerdist._discretize(dist, LDCE_EPS1, LDCE_EPS2)
+    return {"ldce_support": len(np.unique(support_v)), "ldce_grid": len(u)}
+
+
+def _ldce_small(cd) -> dict:
+    """The ``ldce-small`` row: ``ldce`` over ``_small_instances``, min of REPEATS passes."""
+    from calibdist.cli import LDCE_EPS1, LDCE_EPS2
+
+    dists = _small_instances(cd)
+    runs = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for d in dists:
+            cd.ldce(d, LDCE_EPS1, LDCE_EPS2)
+        runs.append(time.perf_counter() - start)
+    sizes = [_ldce_sizes(cd, d) for d in dists]
+    return {"metric": "ldce-small", "n": [d.n for d in dists], "decimals": None,
+            "min_s": min(runs), "runs_s": runs,
+            **{key: [size[key] for size in sizes] for key in ("ldce_support", "ldce_grid")}}
+
+
 def _count_widths(interval) -> list:
     """Wrap ``interval._shift_profile`` so that each call, one per width sintce evaluates,
     appends its width to the returned list."""
@@ -139,6 +201,8 @@ def main(argv=None) -> int:
         runs = _import_seconds(module, src)
         out["import_s"][module] = {"min_s": min(runs), "runs_s": runs}
     print(json.dumps(out["import_s"]), flush=True)
+    out["times"].append(_ldce_small(cd))
+    print(json.dumps(out["times"][-1]), flush=True)
     widths = _count_widths(interval)
     with tempfile.TemporaryDirectory() as tmp:
         for n in SIZES:
@@ -163,6 +227,8 @@ def main(argv=None) -> int:
                            "min_s": min(runs), "runs_s": runs}
                     if widths:
                         row["sintce_widths"] = len(widths) / REPEATS
+                    if name == "ldce":
+                        row.update(_ldce_sizes(cd, cd.EmpiricalDistribution(v, y)))
                     out["times"].append(row)
                     print(json.dumps(row), flush=True)
     out["loadavg_after"] = _loadavg()
